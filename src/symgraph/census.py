@@ -1,11 +1,16 @@
 """Exact counting and explicit enumeration of admissible words.
 
-Counting goes through powers of the adjacency matrix: the number of
-admissible length-n words from symbol i to symbol j is entry (i, j) of
-M**(n-1), in unbounded integer arithmetic.  Enumeration realizes the same
-census independently, by iterating the 1-letter extension map on the set
-of all words, starting from the alphabet itself.  The two routes are
-checked against each other in the test suite.
+The number of admissible length-n words from symbol i to symbol j is
+entry (i, j) of M**(n-1), in unbounded integer arithmetic.  Count series
+come from exact vector walks: the words ending in each letter are summed
+over the letter's predecessor list, one letter at a time, and the words
+starting at each letter walk the successor lists the same way.  A
+single graph is the constant schedule of the walk that also counts
+combined systems; only `count_matrix` forms M**(n-1), by `mat_pow`.
+Enumeration realizes the same census independently, by iterating the
+1-letter extension map on the set of all words, starting from the
+alphabet itself.  The routes are checked against each other in the
+test suite.
 
 Enumerated words of length n over k symbols are carried as base-k integer
 codes (most significant digit = first letter), grouped by their last
@@ -26,7 +31,7 @@ import numpy as np
 
 from .graphs import DirectedGraph, Alphabet, GraphSpecError
 from . import intmat
-from .intmat import IntMatrix, identity, mat_mul, mat_pow, mat_total
+from .intmat import IntMatrix, mat_pow, mat_total
 
 DEFAULT_ENUM_CAP = 10_000_000
 ENUM_CAP_ENV = "SYMGRAPH_ENUM_CAP"
@@ -169,17 +174,36 @@ def total_count(graph: DirectedGraph, n: int) -> int:
     return count_matrix(graph, n).total
 
 
+def _walk(k: int, pred_at: Callable[[int], SuccTable], n_max: int) -> Iterator[list[int]]:
+    """Yield the row vector 1^T A_2 ... A_n for n = 1..n_max.
+
+    pred_at(j) lists, for each letter, the letters that may precede it at
+    the step that produces length j; A_j is the 0/1 matrix it describes.
+    Entry v of the n-th vector counts the length-n words ending in v.
+    """
+    vec = [1] * k
+    yield vec
+    for n in range(2, n_max + 1):
+        vec = [sum(map(vec.__getitem__, p)) for p in pred_at(n)]
+        yield vec
+
+
 def count_series(graph: DirectedGraph, n_max: int) -> CountSeries:
-    """Counts for n = 1..n_max via one cumulative product sweep."""
+    """Counts for n = 1..n_max by two vector walks.
+
+    Column sums walk the predecessor lists.  Row sums walk the successor
+    lists, which are the predecessor lists of the reversed graph.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rows = []
-    power = identity(graph.k)
-    for n in range(1, n_max + 1):
-        rows.append(CountRow(n, mat_total(power), intmat.row_sums(power), intmat.col_sums(power)))
-        if n < n_max:
-            power = mat_mul(power, graph.adjacency)
-    return CountSeries(graph.alphabet, tuple(rows))
+    pred, succ = graph._pred, graph._succ
+    ends = _walk(graph.k, lambda j: pred, n_max)
+    starts = _walk(graph.k, lambda j: succ, n_max)
+    rows = tuple(
+        CountRow(n, sum(col), tuple(row), tuple(col))
+        for n, row, col in zip(range(1, n_max + 1), starts, ends)
+    )
+    return CountSeries(graph.alphabet, rows)
 
 
 # ---------------------------------------------------------------------------

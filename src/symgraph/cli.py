@@ -35,6 +35,7 @@ from .census import (
     iter_word_sets,
 )
 from .combine import (
+    BoundReport,
     CombinedSystem,
     Schedule,
     ScheduleExhaustedError,
@@ -57,6 +58,8 @@ from .presets import (
     quartic_schedule,
 )
 from .spectral import (
+    IllConditionedError,
+    RootClusterError,
     char_poly,
     classify_growth,
     closed_form,
@@ -69,6 +72,7 @@ _BOUND_FNS = {GOLDEN_LINEAR: golden_linear_bounds, COMPLETE_LINEAR: complete_lin
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_STRICT_BOUND = 3
+EXIT_NUMERICAL = 4
 
 
 @dataclass
@@ -153,6 +157,26 @@ def _load_schedule(selector: str, horizon_hint: int) -> Schedule:
     except OSError as exc:
         raise GraphSpecError(f"cannot read schedule file {selector}: {exc}") from None
     return parse_schedule(text)
+
+
+def _bound_tables(prefix: str, preset: str, bounds: list[BoundReport]) -> list[Table]:
+    """The bound sandwich and the asymptotic envelopes at each milestone."""
+    envelopes = [asymptotic_envelopes(preset, b.n) for b in bounds]
+    return [
+        Table(
+            f"{prefix}_bounds",
+            ["t", "n", "log_lower", "log_actual", "log_upper", "holds", "actual"],
+            [[str(b.t), str(b.n), _fmt_float(math.log(b.lower)),
+              _fmt_float(math.log(b.actual)), _fmt_float(math.log(b.upper)),
+              _fmt_bool(b.holds), str(b.actual)] for b in bounds],
+        ),
+        Table(
+            f"{prefix}_envelopes",
+            ["t", "n", "log_f1", "log_f2"],
+            [[str(b.t), str(b.n), _fmt_float(f1), _fmt_float(f2)]
+             for b, (f1, f2) in zip(bounds, envelopes)],
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -255,21 +279,8 @@ def cmd_combine(args: argparse.Namespace) -> ExperimentOutput:
     bound_failed = False
     if preset is not None:
         bounds = [_BOUND_FNS[preset](t) for t in range(1, args.t_max + 1)]
-        out.tables.append(Table(
-            "combine_bounds",
-            ["t", "n", "log_lower", "log_actual", "log_upper", "holds", "actual"],
-            [[str(b.t), str(b.n), _fmt_float(math.log(b.lower)),
-              _fmt_float(math.log(b.actual)), _fmt_float(math.log(b.upper)),
-              _fmt_bool(b.holds), str(b.actual)] for b in bounds],
-        ))
+        out.tables += _bound_tables("combine", preset, bounds)
         bound_failed = any(not b.holds for b in bounds)
-        out.tables.append(Table(
-            "combine_envelopes",
-            ["t", "n", "log_f1", "log_f2"],
-            [[str(b.t), str(b.n),
-              _fmt_float(asymptotic_envelopes(preset, b.n)[0]),
-              _fmt_float(asymptotic_envelopes(preset, b.n)[1])] for b in bounds],
-        ))
 
     witness_n = min(args.n_max, 10, schedule.horizon)
     witness = find_inadmissible_subword(system, witness_n, cap=args.enum_cap)
@@ -363,21 +374,7 @@ def cmd_paper_examples(args: argparse.Namespace) -> ExperimentOutput:
     for name, t_hi in ((GOLDEN_LINEAR, t_golden), (COMPLETE_LINEAR, t_complete)):
         bounds = [_BOUND_FNS[name](t) for t in range(1, t_hi + 1)]
         bound_failed = bound_failed or any(not b.holds for b in bounds)
-        prefix = name.replace("-", "_")
-        out.tables.append(Table(
-            f"{prefix}_bounds",
-            ["t", "n", "log_lower", "log_actual", "log_upper", "holds", "actual"],
-            [[str(b.t), str(b.n), _fmt_float(math.log(b.lower)),
-              _fmt_float(math.log(b.actual)), _fmt_float(math.log(b.upper)),
-              _fmt_bool(b.holds), str(b.actual)] for b in bounds],
-        ))
-        out.tables.append(Table(
-            f"{prefix}_envelopes",
-            ["t", "n", "log_f1", "log_f2"],
-            [[str(b.t), str(b.n),
-              _fmt_float(asymptotic_envelopes(name, b.n)[0]),
-              _fmt_float(asymptotic_envelopes(name, b.n)[1])] for b in bounds],
-        ))
+        out.tables += _bound_tables(name.replace("-", "_"), name, bounds)
 
     witness = find_inadmissible_subword(golden_linear_system(1), 5)
     alphabet = golden_linear_system(1).alphabet
@@ -475,6 +472,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphSpecError, EnumerationCapError, ScheduleExhaustedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except (IllConditionedError, RootClusterError) as exc:
+        print(f"error: closed form: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     paths = output.write(args.out, args.format)
     for path in paths:
         print(f"wrote {path}")

@@ -24,6 +24,7 @@ from .census import (
     WordSet,
     _iter_group_levels,
     _sorted_groups,
+    _walk,
     enumeration_cap,
     format_word,
 )
@@ -158,19 +159,16 @@ def combined_count_matrix(system: CombinedSystem, n: int) -> IntMatrix:
 
 
 def combined_count_series(system: CombinedSystem, n_max: int) -> list[tuple[int, int]]:
-    """(n, count) for n = 1..n_max by one incremental product sweep."""
+    """(n, count) for n = 1..n_max by one vector walk along the schedule."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max > system.schedule.horizon:
         raise ScheduleExhaustedError(
             f"length {n_max} beyond schedule horizon {system.schedule.horizon}"
         )
-    out = [(1, system.k)]
-    product = identity(system.k)
-    for j in range(2, n_max + 1):
-        product = mat_mul(product, system.graphs[active_index(system, j)].adjacency)
-        out.append((j, mat_total(product)))
-    return out
+    pred_tables = [g._pred for g in system.graphs]
+    walk = _walk(system.k, lambda j: pred_tables[active_index(system, j)], n_max)
+    return [(n, sum(vec)) for n, vec in enumerate(walk, start=1)]
 
 
 def iter_combined_word_sets(system: CombinedSystem, n_max: int, cap: int | None = None):

@@ -72,6 +72,7 @@ class DirectedGraph:
     adjacency: IntMatrix
     name: str | None = None
     _succ: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _pred: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = self.alphabet.k
@@ -84,7 +85,11 @@ class DirectedGraph:
         succ = tuple(
             tuple(j for j in range(k) if row[j]) for row in self.adjacency
         )
+        pred = tuple(
+            tuple(i for i in range(k) if self.adjacency[i][j]) for j in range(k)
+        )
         object.__setattr__(self, "_succ", succ)
+        object.__setattr__(self, "_pred", pred)
 
     @property
     def k(self) -> int:
@@ -212,16 +217,11 @@ def validate(graph: DirectedGraph) -> GraphDiagnostics:
     possible self-loop.
     """
     k = graph.k
-    isolated = any(
-        not graph.successors(i) and all(graph.adjacency[j][i] == 0 for j in range(k))
-        for i in range(k)
-    )
+    isolated = any(not graph._succ[i] and not graph._pred[i] for i in range(k))
     weakly = not isolated and _undirected_components(graph) == 1
-    rev = tuple(
-        tuple(j for j in range(k) if graph.adjacency[j][i]) for i in range(k)
-    )
     strongly = (
-        len(_reachable(graph._succ, 0, k)) == k and len(_reachable(rev, 0, k)) == k
+        len(_reachable(graph._succ, 0, k)) == k
+        and len(_reachable(graph._pred, 0, k)) == k
     )
     absorbing = tuple(
         graph.alphabet.symbols[i]

@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import Alphabet, DirectedGraph, validate
-from .intmat import IntMatrix, identity, mat_mul, mat_total
+from .intmat import IntMatrix, identity, mat_mul
 from .census import count_series
 
 ROOT_TOL = 1e-7     # clustering tolerance == distinctness threshold
@@ -153,29 +153,40 @@ def verify_recurrence(graph: DirectedGraph, n_max: int) -> RecurrenceReport:
     """Check the induced recurrence exactly for k < n <= n_max.
 
     Both the total count and every endpoint-resolved count sequence are
-    checked, in unbounded integer arithmetic.
+    checked, in unbounded integer arithmetic: with the polynomial
+    sum_r c_r x^r, the residual sum_r c_r M^(n-1-k+r) over the nonzero
+    c_r must vanish entrywise and in total at every n.
     """
     k = graph.k
     if n_max <= k:
         raise ValueError(f"n_max must exceed the alphabet size {k}")
     poly = char_poly(graph)
-    a_coef = poly.coefficients[1:]  # a_{k-1}, ..., a_0
-    mats = [None, identity(k)]     # mats[n] = M^(n-1)
+    # (r, c_r) for r < k; the leading c_k = 1 multiplies M^(n-1) itself
+    terms = [(k - 1 - d, c) for d, c in enumerate(poly.coefficients[1:]) if c]
+    # mats[n] = M^(n-1), flattened row-major; entry (i, j) of the next
+    # power sums entries (i, l) over the predecessors l of j
+    steps = [[i * k + l for l in graph._pred[j]] for i in range(k) for j in range(k)]
+    mats = [None, [int(i == j) for i in range(k) for j in range(k)]]
     for _ in range(2, n_max + 1):
-        mats.append(mat_mul(mats[-1], graph.adjacency))
+        prev = mats[-1]
+        mats.append([sum(map(prev.__getitem__, idx)) for idx in steps])
     failures: list[RecurrenceFailure] = []
     for n in range(k + 1, n_max + 1):
-        # value(n) = -sum_r a_r * value(n-k+r)
-        for i in range(k):
-            for j in range(k):
-                want = -sum(a_coef[k - 1 - r] * mats[n - k + r][i][j] for r in range(k))
-                got = mats[n][i][j]
-                if got != want:
-                    failures.append(RecurrenceFailure(n, i, j, want, got))
-        want = -sum(a_coef[k - 1 - r] * mat_total(mats[n - k + r]) for r in range(k))
-        got = mat_total(mats[n])
-        if got != want:
-            failures.append(RecurrenceFailure(n, None, None, want, got))
+        got_all = mats[n]
+        residual = got_all
+        for r, c in terms:
+            residual = [x + c * y for x, y in zip(residual, mats[n - k + r])]
+        if not any(residual):
+            continue
+        # the recurrence predicts got - residual
+        for pos, d in enumerate(residual):
+            if d:
+                got = got_all[pos]
+                failures.append(RecurrenceFailure(n, pos // k, pos % k, got - d, got))
+        d = sum(residual)
+        if d:
+            got = sum(got_all)
+            failures.append(RecurrenceFailure(n, None, None, got - d, got))
     return RecurrenceReport(not failures, n_max, tuple(failures))
 
 

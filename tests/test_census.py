@@ -2,8 +2,11 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symgraph import (
+    Alphabet,
+    DirectedGraph,
     EnumerationCapError,
     count_matrix,
     count_series,
@@ -23,6 +26,14 @@ from symgraph import (
 SQRT5 = math.sqrt(5)
 MU = (1 + SQRT5) / 2
 NU = (1 - SQRT5) / 2
+
+
+@st.composite
+def random_graphs(draw, k_max):
+    k = draw(st.integers(1, k_max))
+    bits = draw(st.lists(st.integers(0, 1), min_size=k * k, max_size=k * k))
+    adj = tuple(tuple(bits[i * k:(i + 1) * k]) for i in range(k))
+    return DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(k))), adj)
 
 
 def brute_force_words(graph, n):
@@ -74,6 +85,15 @@ class TestCountMatrix:
             assert row.row_sums == cm.row_sums
             assert row.col_sums == cm.col_sums
             assert row.total == sum(row.row_sums) == sum(row.col_sums)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=random_graphs(8), n_max=st.integers(1, 40))
+    def test_count_series_matches_count_matrix(self, graph, n_max):
+        rows = count_series(graph, n_max).rows
+        assert [row.n for row in rows] == list(range(1, n_max + 1))
+        for row in rows:
+            cm = count_matrix(graph, row.n)
+            assert (row.total, row.row_sums, row.col_sums) == (cm.total, cm.row_sums, cm.col_sums)
 
     def test_semigroup_property(self):
         # composing counts over a split point reproduces the longer count

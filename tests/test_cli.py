@@ -102,6 +102,19 @@ class TestAnalyze:
         }))
         assert main(["analyze", "--graph", str(gpath), "--out", str(tmp_path / "o")]) == 1
 
+    def test_ill_conditioned_closed_form_is_one_error_line(self, tmp_path, capsys):
+        # a chain of twelve looped letters: eigenvalue 1 with multiplicity 12
+        syms = [f"v{i}" for i in range(12)]
+        edges = [[s, s] for s in syms] + [[a, b] for a, b in zip(syms, syms[1:])]
+        gpath = tmp_path / "chain.json"
+        gpath.write_text(json.dumps({"alphabet": syms, "edges": edges}))
+        out = tmp_path / "out"
+        assert main(["analyze", "--graph", str(gpath), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "condition" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_json_format_big_ints_as_strings(self, tmp_path, graph_files):
         out = tmp_path / "out"
         assert main([

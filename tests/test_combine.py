@@ -1,9 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symgraph import (
+    Alphabet,
     CombinedSystem,
+    DirectedGraph,
     GraphSpecError,
     Schedule,
     ScheduleExhaustedError,
@@ -44,6 +47,20 @@ def oracle_combined_words(system, n):
             w + (u,) for w in words for u in range(system.k) if graph.adjacency[w[-1]][u]
         }
     return words
+
+
+@st.composite
+def random_systems(draw):
+    """Two or three graphs on one alphabet of up to 5 letters, random stints."""
+    k = draw(st.integers(1, 5))
+    alphabet = Alphabet(tuple(f"v{i}" for i in range(k)))
+    bits = st.lists(st.integers(0, 1), min_size=k * k, max_size=k * k)
+    graphs = tuple(
+        DirectedGraph(alphabet, tuple(tuple(b[i * k:(i + 1) * k]) for i in range(k)))
+        for b in draw(st.lists(bits, min_size=2, max_size=3))
+    )
+    stints = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    return CombinedSystem(graphs, Schedule.from_stints(stints))
 
 
 def oracle_product_total(matrices):
@@ -155,6 +172,14 @@ class TestCombinedCounts:
         assert series[0] == (1, 3)
         for n, count in series:
             assert combined_count(system, n) == count
+
+    @settings(max_examples=80, deadline=None)
+    @given(system=random_systems())
+    def test_series_matches_single_calls_random(self, system):
+        n_max = system.schedule.horizon
+        assert combined_count_series(system, n_max) == [
+            (j, combined_count(system, j)) for j in range(1, n_max + 1)
+        ]
 
     def test_ordered_product_identity(self):
         # oracle: naive sequential product of per-stint power lists

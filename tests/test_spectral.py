@@ -25,7 +25,9 @@ from symgraph import (
     two_cycle_graph,
     verify_recurrence,
 )
-from symgraph.spectral import _squarefree_factors
+from symgraph import spectral
+from symgraph.intmat import mat_pow, mat_total
+from symgraph.spectral import CharPoly, RecurrenceFailure, _squarefree_factors
 from fractions import Fraction
 
 MU = (1 + math.sqrt(5)) / 2
@@ -102,6 +104,42 @@ class TestRecurrence:
     def test_rejects_small_n_max(self):
         with pytest.raises(ValueError):
             verify_recurrence(golden_graph(), 3)
+
+    @staticmethod
+    def brute_force_failures(graph, coefficients, n_max):
+        """Every failing entry and total, from explicit matrix powers."""
+        k = graph.k
+        low = coefficients[:0:-1]  # low[r] is the coefficient of x^r
+        powers = [None] + [mat_pow(graph.adjacency, n - 1) for n in range(1, n_max + 1)]
+        failures = []
+        for n in range(k + 1, n_max + 1):
+            for i in range(k):
+                for j in range(k):
+                    want = -sum(low[r] * powers[n - k + r][i][j] for r in range(k))
+                    if powers[n][i][j] != want:
+                        failures.append(RecurrenceFailure(n, i, j, want, powers[n][i][j]))
+            want = -sum(low[r] * mat_total(powers[n - k + r]) for r in range(k))
+            if mat_total(powers[n]) != want:
+                failures.append(RecurrenceFailure(n, None, None, want, mat_total(powers[n])))
+        return tuple(failures)
+
+    def test_failures_of_a_perturbed_polynomial(self, monkeypatch):
+        # linear_graph has a zero coefficient, which the perturbation can make nonzero
+        graphs = [golden_graph(), linear_graph(), chain_witness_graph(), graph_from_bitmask(4, 0x9A5B)]
+        for graph in graphs:
+            true_coefficients = char_poly(graph).coefficients
+            for position in range(1, graph.k + 1):
+                for delta in (1, -1):
+                    coefficients = list(true_coefficients)
+                    coefficients[position] += delta
+                    poly = CharPoly(tuple(coefficients))
+                    monkeypatch.setattr(spectral, "char_poly", lambda g, poly=poly: poly)
+                    report = verify_recurrence(graph, 40)
+                    expected = self.brute_force_failures(graph, poly.coefficients, 40)
+                    assert not report.ok and report.n_max == 40
+                    assert any(f.i is None for f in expected)
+                    assert any(f.i is not None for f in expected)
+                    assert report.failures == expected
 
 
 class TestSquareFree:
