@@ -91,6 +91,7 @@ from .presets import (
     golden_linear_system,
     linear_graph,
     match_preset,
+    preset_bounds,
     quartic_schedule,
     quartic_stint,
     two_cycle_graph,

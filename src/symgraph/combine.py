@@ -9,16 +9,23 @@ contributes exactly s_1 - 1 extension steps (lengths 2..g_1) and every
 later stint contributes its full length, which is what makes the growth
 bounds for the bundled example systems exact.
 
+`combined_count` pushes the row vector 1^T through each stint segment,
+vec <- vec * A_m**len, and the system keeps the vector of its last
+count, so milestone counts taken in ascending order cost one pass along
+the schedule in all.
+
 Unlike the single-graph case, a subword of an admissible combined word
 need not be admissible; `find_inadmissible_subword` searches for the
-first such witness.
+first such witness, testing the subwords of a whole level at once.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .census import (
     WordSet,
@@ -29,7 +36,7 @@ from .census import (
     format_word,
 )
 from .graphs import Alphabet, DirectedGraph, GraphSpecError
-from .intmat import IntMatrix, identity, mat_mul, mat_pow, mat_total
+from .intmat import IntMatrix, identity, mat_mul, mat_pow, vec_mul
 
 
 class ScheduleExhaustedError(RuntimeError):
@@ -100,6 +107,10 @@ class CombinedSystem:
 
     graphs: tuple[DirectedGraph, ...]
     schedule: Schedule
+    # (j, row vector 1^T A_2 ... A_j) from the last `combined_count` call
+    _last_count: tuple[int, tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.graphs) < 2:
@@ -129,15 +140,35 @@ def active_index(system: CombinedSystem, j: int) -> int:
 
 
 def combined_count(system: CombinedSystem, n: int) -> int:
-    """Exact count of combined words of length n (sum over endpoints)."""
-    return mat_total(combined_count_matrix(system, n))
+    """Exact count of combined words of length n (sum over endpoints).
+
+    The row vector 1^T is pushed through each stint segment as
+    vec <- vec * A_m**len.  The system keeps the vector of its last call:
+    a call with n at or beyond that length resumes from it, a shorter
+    one restarts at length 1.
+    """
+    if n < 1:
+        raise ValueError("word length must be >= 1")
+    sched = system.schedule
+    if n > sched.horizon:
+        raise ScheduleExhaustedError(f"length {n} beyond schedule horizon {sched.horizon}")
+    last = system._last_count
+    j, vec = last if last is not None and last[0] <= n else (1, (1,) * system.k)
+    while j < n:
+        m = sched.stint_index(j + 1)
+        hi = min(sched.g[m], n)
+        graph = system.graphs[(m - 1) % len(system.graphs)]
+        vec = vec_mul(vec, mat_pow(graph.adjacency, hi - j))
+        j = hi
+    object.__setattr__(system, "_last_count", (n, vec))
+    return sum(vec)
 
 
 def combined_count_matrix(system: CombinedSystem, n: int) -> IntMatrix:
     """Ordered product of the active adjacency matrices for steps 2..n.
 
-    Consecutive equal factors are grouped into matrix powers, so milestone
-    lengths far into the schedule stay cheap.
+    Consecutive equal factors are grouped into matrix powers.  Counts do
+    not need the product: `combined_count` carries only its column sums.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
@@ -215,6 +246,16 @@ class SubwordWitness:
         )
 
 
+def _code_array(ws: WordSet) -> np.ndarray:
+    """A level's codes in ascending order: int64, or object for Python ints."""
+    groups = ws._groups
+    if isinstance(groups[0], np.ndarray):
+        codes = np.concatenate(groups)
+        codes.sort()
+        return codes
+    return np.array(sorted(c for g in groups for c in g), dtype=object)
+
+
 def find_inadmissible_subword(
     system: CombinedSystem, n_max: int, cap: int | None = None
 ) -> SubwordWitness | None:
@@ -224,21 +265,33 @@ def find_inadmissible_subword(
     order, subword length ascending, start position ascending.  Returns
     None when every contiguous subword of every word is itself a combined
     word of its length (as happens when all graphs coincide).
+
+    Each (subword length m, start) pair is tested for a whole level at
+    once: the subword codes are sliced out of the word codes and looked up
+    in the sorted level-m codes.  The witness word is the first word with
+    a miss, and its (m, start) the first pair in scan order that misses
+    it; once a miss is found, later pairs only test the words before it.
     """
-    levels = list(iter_combined_word_sets(system, n_max, cap))
+    levels = [_code_array(ws) for ws in iter_combined_word_sets(system, n_max, cap)]
     k = system.k
-    for ws in levels:
-        length = ws.length
-        for word in ws:
-            for m in range(2, length):
-                target = levels[m - 1]
-                for start in range(0, length - m + 1):
-                    sub = word[start : start + m]
-                    code = 0
-                    for letter in sub:
-                        code = code * k + letter
-                    if not target.contains_code(code):
-                        return SubwordWitness(word, sub, start)
+    for length, codes in enumerate(levels, start=1):
+        best, hit = codes.size, None
+        for m in range(2, length):
+            target = levels[m - 1]
+            for start in range(length - m + 1):
+                subs = codes[:best] // k ** (length - m - start) % k ** m
+                pos = np.minimum(np.searchsorted(target, subs), target.size - 1)
+                misses = np.flatnonzero(target[pos] != subs)
+                if misses.size:
+                    best, hit = int(misses[0]), (m, start)
+        if hit is not None:
+            code, word = int(codes[best]), []
+            for _ in range(length):
+                code, letter = divmod(code, k)
+                word.append(letter)
+            word.reverse()
+            m, start = hit
+            return SubwordWitness(tuple(word), tuple(word[start : start + m]), start)
     return None
 
 

@@ -46,3 +46,8 @@ def row_sums(m: IntMatrix) -> tuple[int, ...]:
 
 def col_sums(m: IntMatrix) -> tuple[int, ...]:
     return tuple(sum(col) for col in zip(*m))
+
+
+def vec_mul(v: tuple[int, ...], m: IntMatrix) -> tuple[int, ...]:
+    """Exact row-vector product v * m."""
+    return tuple(sum(x * y for x, y in zip(v, col)) for col in zip(*m))

@@ -101,38 +101,69 @@ def fibonacci(n: int) -> int:
     return pair(n)[0]
 
 
-def golden_linear_bounds(t: int) -> BoundReport:
-    """Exact bound sandwich for the golden-linear system after t stint pairs.
+def _golden_linear_sandwich(t: int) -> tuple[int, int]:
+    """(lower, upper) for the golden-linear system after t stint pairs.
 
     The lower bound is the product of Fibonacci numbers fib(s_{2i-1})
     (an exact integer identity for the golden-ratio power differences);
     the upper bound is the single-graph golden count at length (t+1)**2
     times 1 + 2 * (total linear-graph steps).
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
     odd = [quartic_stint(2 * i - 1) for i in range(1, t + 1)]
     even = [quartic_stint(2 * i) for i in range(1, t + 1)]
     lower = math.prod(fibonacci(s) for s in odd)
     upper = total_count(golden_graph(), sum(odd)) * (1 + 2 * sum(even))
-    n = (t + 1) ** 4
-    actual = combined_count(golden_linear_system(t), n)
-    return BoundReport(t, n, lower, actual, upper)
+    return lower, upper
 
 
-def complete_linear_bounds(t: int) -> BoundReport:
-    """Exact bound sandwich for the complete-linear system after t stint pairs.
+def _complete_linear_sandwich(t: int) -> tuple[int, int]:
+    """(lower, upper) for the complete-linear system after t stint pairs.
 
     3**((t+1)**2) < count < 3**((t+1)**2) * prod(2 * s_{2i} + 1).
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
     even = [quartic_stint(2 * i) for i in range(1, t + 1)]
     lower = 3 ** ((t + 1) ** 2)
-    upper = lower * math.prod(2 * s + 1 for s in even)
-    n = (t + 1) ** 4
-    actual = combined_count(complete_linear_system(t), n)
-    return BoundReport(t, n, lower, actual, upper)
+    return lower, lower * math.prod(2 * s + 1 for s in even)
+
+
+_PRESETS = {
+    GOLDEN_LINEAR: (golden_linear_system, _golden_linear_sandwich),
+    COMPLETE_LINEAR: (complete_linear_system, _complete_linear_sandwich),
+}
+
+
+def preset_bounds(name: str, t_max: int) -> list[BoundReport]:
+    """Exact bound sandwiches of a bundled system for t = 1..t_max.
+
+    Every milestone count (t+1)**4 comes from one system, so each count
+    resumes where the previous one stopped.
+    """
+    if name not in _PRESETS:
+        raise ValueError(f"unknown system {name!r}")
+    if t_max < 1:
+        return []
+    make_system, sandwich = _PRESETS[name]
+    system = make_system(t_max)
+    reports = []
+    for t in range(1, t_max + 1):
+        n = (t + 1) ** 4
+        lower, upper = sandwich(t)
+        reports.append(BoundReport(t, n, lower, combined_count(system, n), upper))
+    return reports
+
+
+def golden_linear_bounds(t: int) -> BoundReport:
+    """Exact bound sandwich for the golden-linear system after t stint pairs."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    return preset_bounds(GOLDEN_LINEAR, t)[-1]
+
+
+def complete_linear_bounds(t: int) -> BoundReport:
+    """Exact bound sandwich for the complete-linear system after t stint pairs."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    return preset_bounds(COMPLETE_LINEAR, t)[-1]
 
 
 def _fourth_root(n: int) -> int:

@@ -283,10 +283,11 @@ class TestStrict:
         import symgraph.cli as cli
         from symgraph import BoundReport
 
-        def fake_bounds(t):
-            return BoundReport(t, 16, 100, 50, 200)  # lower > actual
+        def fake_bounds(name, t_max):
+            # lower > actual at every t
+            return [BoundReport(t, 16, 100, 50, 200) for t in range(1, t_max + 1)]
 
-        monkeypatch.setitem(cli._BOUND_FNS, "golden-linear", fake_bounds)
+        monkeypatch.setattr(cli, "preset_bounds", fake_bounds)
         code = main([
             "combine", "--graph", graph_files["golden"], "--graph", graph_files["linear"],
             "--schedule", "paper", "--t-max", "1", "--n-max", "10", "--strict",

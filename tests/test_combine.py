@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symgraph import (
     Alphabet,
@@ -29,10 +30,12 @@ from symgraph import (
     linear_graph,
     match_preset,
     parse_schedule,
+    preset_bounds,
     quartic_schedule,
     quartic_stint,
     total_count,
 )
+from symgraph.combine import SubwordWitness
 
 
 def oracle_combined_words(system, n):
@@ -50,9 +53,9 @@ def oracle_combined_words(system, n):
 
 
 @st.composite
-def random_systems(draw):
-    """Two or three graphs on one alphabet of up to 5 letters, random stints."""
-    k = draw(st.integers(1, 5))
+def random_systems(draw, k_max=5):
+    """Two or three graphs on one alphabet of up to k_max letters, random stints."""
+    k = draw(st.integers(1, k_max))
     alphabet = Alphabet(tuple(f"v{i}" for i in range(k)))
     bits = st.lists(st.integers(0, 1), min_size=k * k, max_size=k * k)
     graphs = tuple(
@@ -72,6 +75,41 @@ def oracle_product_total(matrices):
             for i in range(k)
         ]
     return sum(map(sum, product))
+
+
+def reference_witness(system, n_max):
+    """Scalar reference scan: words in lexicographic order, subword length
+    ascending, start ascending, one membership test per subword."""
+    levels = list(iter_combined_word_sets(system, n_max))
+    k = system.k
+    for ws in levels:
+        length = ws.length
+        for word in ws:
+            for m in range(2, length):
+                target = levels[m - 1]
+                for start in range(0, length - m + 1):
+                    sub = word[start : start + m]
+                    code = 0
+                    for letter in sub:
+                        code = code * k + letter
+                    if not target.contains_code(code):
+                        return SubwordWitness(word, sub, start)
+    return None
+
+
+# At length 5 the first pair in scan order to miss, (2, 3), first misses
+# XXYXZ, but XXYXX comes first and misses only at a later pair.
+LATER_PAIR_FIRST_WORD = CombinedSystem(
+    tuple(
+        DirectedGraph(Alphabet(("X", "Y", "Z")), rows)
+        for rows in (
+            ((1, 0, 1), (1, 1, 1), (0, 1, 0)),
+            ((1, 1, 0), (1, 1, 1), (1, 1, 1)),
+            ((0, 1, 0), (1, 1, 0), (1, 0, 1)),
+        )
+    ),
+    Schedule.from_stints([1, 1, 2, 4]),
+)
 
 
 class TestSchedule:
@@ -174,12 +212,18 @@ class TestCombinedCounts:
             assert combined_count(system, n) == count
 
     @settings(max_examples=80, deadline=None)
-    @given(system=random_systems())
-    def test_series_matches_single_calls_random(self, system):
+    @given(system=random_systems(), data=st.data())
+    def test_series_matches_single_calls_random(self, system, data):
         n_max = system.schedule.horizon
-        assert combined_count_series(system, n_max) == [
-            (j, combined_count(system, j)) for j in range(1, n_max + 1)
-        ]
+        series = combined_count_series(system, n_max)
+        assert series == [(j, combined_count(system, j)) for j in range(1, n_max + 1)]
+        # calls in any order resume or restart from the system's last count
+        lengths = list(range(1, n_max + 1))
+        shuffled = data.draw(st.permutations(lengths))
+        repeated = data.draw(st.lists(st.sampled_from(lengths), max_size=12))
+        expected = dict(series)
+        for j in shuffled + lengths[::-1] + [j for j in repeated for _ in range(2)]:
+            assert combined_count(system, j) == expected[j]
 
     def test_ordered_product_identity(self):
         # oracle: naive sequential product of per-stint power lists
@@ -281,11 +325,14 @@ class TestBounds:
         assert report.upper == total_count(golden_graph(), 4) * (1 + 2 * 12) == 19 * 25
 
     def test_golden_linear_holds_to_6(self):
-        for t in range(1, 7):
-            report = golden_linear_bounds(t)
+        reports = [golden_linear_bounds(t) for t in range(1, 7)]
+        for t, report in enumerate(reports, start=1):
             assert report.holds, f"t={t}: {report}"
             assert report.n == (t + 1) ** 4
         assert golden_linear_bounds(6).n == 2401
+        assert preset_bounds("golden-linear", 6) == reports
+        series = combined_count_series(golden_linear_system(4), 5 ** 4)
+        assert [r.actual for r in reports[:4]] == [series[r.n - 1][1] for r in reports[:4]]
 
     def test_complete_linear_t1(self):
         report = complete_linear_bounds(1)
@@ -293,10 +340,13 @@ class TestBounds:
         assert report.holds
 
     def test_complete_linear_holds_to_8(self):
-        for t in range(1, 9):
-            report = complete_linear_bounds(t)
+        reports = [complete_linear_bounds(t) for t in range(1, 9)]
+        for t, report in enumerate(reports, start=1):
             assert report.holds
             assert report.lower == 3 ** ((t + 1) ** 2)
+        assert preset_bounds("complete-linear", 8) == reports
+        series = combined_count_series(complete_linear_system(4), 5 ** 4)
+        assert [r.actual for r in reports[:4]] == [series[r.n - 1][1] for r in reports[:4]]
 
     def test_match_preset(self):
         assert match_preset(golden_linear_system(2)) == "golden-linear"
@@ -363,6 +413,30 @@ class TestSubwordWitness:
         first = find_inadmissible_subword(system, 5)
         second = find_inadmissible_subword(system, 5)
         assert first == second
+
+    @settings(max_examples=150, deadline=None)
+    @given(system=random_systems(k_max=4), n_max=st.integers(1, 9))
+    @example(system=LATER_PAIR_FIRST_WORD, n_max=5)
+    def test_matches_reference_scan(self, system, n_max):
+        n_max = min(n_max, system.schedule.horizon)
+        assert find_inadmissible_subword(system, n_max) == reference_witness(system, n_max)
+
+    def test_python_int_levels_match_reference_scan(self):
+        # 64 letters at n = 9: codes need 63 bits, so levels are Python ints
+        k = 64
+        alphabet = Alphabet(tuple(f"v{i}" for i in range(k)))
+
+        def ring(*steps):
+            return DirectedGraph(alphabet, tuple(
+                tuple(int((j - i) % k in steps) for j in range(k)) for i in range(k)
+            ))
+
+        system = CombinedSystem((ring(0, 1), ring(2)), Schedule.from_stints([3, 2, 3, 2]))
+        levels = list(iter_combined_word_sets(system, 9))
+        assert not isinstance(levels[-1]._groups[0], np.ndarray)
+        witness = find_inadmissible_subword(system, 9)
+        assert witness is not None
+        assert witness == reference_witness(system, 9)
 
     def test_stretched_growth_ratio_window(self):
         # count at n behaves like 3**sqrt(n): ratio pinned by the bound product
