@@ -13,17 +13,20 @@ alphabet itself.  The routes are checked against each other in the
 test suite.
 
 Enumerated words of length n over k symbols are carried as base-k integer
-codes (most significant digit = first letter), grouped by their last
-letter so extension is a single multiply-add per word.  Code order equals
-lexicographic word order.  When every code fits in int64 the levels are
-numpy arrays; otherwise plain Python integer sets, with identical
-semantics.
+codes (most significant digit = first letter), one ascending numpy array
+per length.  Code order equals lexicographic word order.  Extension is a
+multiply-add per word, c*k + u for each successor u of the last letter in
+ascending order, so an ascending level extends to an ascending level
+without a sort.  Levels are int64 when every code fits, otherwise object
+arrays of Python integers, extended by the same code.  A single graph is
+the constant schedule of the extension that also enumerates combined
+systems.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -213,31 +216,25 @@ def count_series(graph: DirectedGraph, n_max: int) -> CountSeries:
 class WordSet:
     """Immutable set of equal-length words, stored as base-k codes."""
 
-    def __init__(self, alphabet: Alphabet, length: int, groups: Sequence):
+    def __init__(self, alphabet: Alphabet, length: int, codes: np.ndarray):
         self.alphabet = alphabet
         self.length = length
-        # one sorted, duplicate-free code collection per last letter
-        self._groups = tuple(groups)
-        self._size = sum(len(g) for g in self._groups)
+        # ascending, duplicate-free: int64, or object dtype for Python ints
+        self._codes = codes
 
     def __len__(self) -> int:
-        return self._size
+        return self._codes.size
 
     def _decode(self, code: int) -> Word:
         k = self.alphabet.k
         letters = [0] * self.length
-        if k > 1:
-            for pos in range(self.length - 1, -1, -1):
-                code, letters[pos] = divmod(code, k)
+        for pos in range(self.length - 1, -1, -1):
+            code, letters[pos] = divmod(code, k)
         return tuple(letters)
 
     def codes(self) -> list[int]:
         """All codes in ascending (= lexicographic word) order."""
-        merged: list[int] = []
-        for g in self._groups:
-            merged.extend(int(c) for c in g)
-        merged.sort()
-        return merged
+        return self._codes.tolist()
 
     def __iter__(self) -> Iterator[Word]:
         for code in self.codes():
@@ -247,13 +244,8 @@ class WordSet:
         return [format_word(self.alphabet, w) for w in self]
 
     def contains_code(self, code: int) -> bool:
-        k = self.alphabet.k
-        group = self._groups[code % k] if k > 1 else self._groups[0]
-        if isinstance(group, np.ndarray):
-            pos = int(np.searchsorted(group, code))
-            return pos < group.size and int(group[pos]) == code
-        pos = bisect_left(group, code)
-        return pos < len(group) and group[pos] == code
+        pos = int(np.searchsorted(self._codes, code))
+        return pos < self._codes.size and int(self._codes[pos]) == code
 
     def __contains__(self, word) -> bool:
         try:
@@ -268,59 +260,51 @@ class WordSet:
         return self.contains_code(code)
 
 
-def _iter_group_levels(
-    k: int,
+def _word_sets(
+    alphabet: Alphabet,
     succ_at: Callable[[int], SuccTable],
     n_max: int,
     cap: int,
-) -> Iterator[list]:
-    """Yield per-length code groups for lengths 1..n_max.
+) -> Iterator[WordSet]:
+    """Word sets for lengths 1..n_max, each extended from the previous.
 
     succ_at(j) is the successor table applied when extending words of
-    length j-1 to length j.  The cap guards every materialized length.
+    length j-1 to length j.  Each code c emits its children c*k + u in
+    ascending u, so an ascending level extends to an ascending level.
+    The cap is checked from the per-letter fan-out before the next level
+    is allocated.
     """
-    use_numpy = k >= 2 and n_max * k.bit_length() < 62
-    if use_numpy:
-        groups: list = [np.array([v], dtype=np.int64) for v in range(k)]
-    else:
-        groups = [{v} for v in range(k)]
+    k = alphabet.k
+    dtype = np.int64 if n_max * k.bit_length() < 62 else object
     if k > cap:
         raise EnumerationCapError(1, k, cap)
-    yield groups
+    codes = np.arange(k, dtype=dtype)
+    yield WordSet(alphabet, 1, codes)
     for n in range(2, n_max + 1):
         succ = succ_at(n)
-        next_size = sum(len(groups[v]) * len(succ[v]) for v in range(k))
-        if next_size > cap:
-            raise EnumerationCapError(n, next_size, cap)
-        if use_numpy:
-            parts: list[list[np.ndarray]] = [[] for _ in range(k)]
-            for v in range(k):
-                g = groups[v]
-                if not g.size:
-                    continue
-                base = g * k
-                for u in succ[v]:
-                    parts[u].append(base + u)
-            # c*k+u is injective and groups are disjoint by last letter: sorting suffices
-            groups = []
-            for p in parts:
-                level = np.concatenate(p) if p else np.empty(0, dtype=np.int64)
-                level.sort(kind="stable")  # in place: no second copy of the level
-                groups.append(level)
-        else:
-            new: list[set[int]] = [set() for _ in range(k)]
-            for v in range(k):
-                for u in succ[v]:
-                    new[u].update(c * k + u for c in groups[v])
-            groups = new
-        yield groups
-
-
-def _sorted_groups(groups: list) -> list:
-    return [
-        g if isinstance(g, np.ndarray) else tuple(sorted(g))
-        for g in groups
-    ]
+        deg = np.array([len(s) for s in succ], dtype=np.intp)
+        last = (codes % k).astype(np.intp, copy=False)
+        fan = deg[last]
+        size = int(fan.sum())
+        if size > cap:
+            raise EnumerationCapError(n, size, cap)
+        # child i of code c lands at index first_c + i of the next level
+        # and takes its letter from flat[start[c % k] + i]; pos maps the one
+        # to the other.  Temporaries are updated in place and dropped early,
+        # so the peak stays near two next-level arrays.
+        pos = (np.cumsum(deg) - deg)[last]
+        del last
+        pos -= np.cumsum(fan)
+        pos += fan
+        pos = np.repeat(pos, fan)
+        pos += np.arange(size)
+        flat = np.array([u for s in succ for u in s], dtype=np.intp)
+        np.take(flat, pos, out=pos, mode="clip")  # "clip" takes in place, unbuffered
+        codes = np.repeat(codes, fan)
+        codes *= k
+        codes += pos
+        del fan, pos  # the frame outlives the yield
+        yield WordSet(alphabet, n, codes)
 
 
 def iter_word_sets(
@@ -329,18 +313,10 @@ def iter_word_sets(
     """Word sets for n = 1..n_max, each level extended from the previous."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    effective_cap = enumeration_cap(cap)
     succ = graph._succ
-    for n, groups in enumerate(
-        _iter_group_levels(graph.k, lambda j: succ, n_max, effective_cap), start=1
-    ):
-        yield WordSet(graph.alphabet, n, _sorted_groups(groups))
+    yield from _word_sets(graph.alphabet, lambda j: succ, n_max, enumeration_cap(cap))
 
 
 def enumerate_words(graph: DirectedGraph, n: int, cap: int | None = None) -> WordSet:
     """The set of admissible length-n words, by iterated 1-letter extension."""
-    result = None
-    for ws in iter_word_sets(graph, n, cap):
-        result = ws
-    assert result is not None
-    return result
+    return deque(iter_word_sets(graph, n, cap), maxlen=1).pop()

@@ -23,18 +23,12 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .census import (
-    WordSet,
-    _iter_group_levels,
-    _sorted_groups,
-    _walk,
-    enumeration_cap,
-    format_word,
-)
+from .census import WordSet, _walk, _word_sets, enumeration_cap, format_word
 from .graphs import Alphabet, DirectedGraph, GraphSpecError
 from .intmat import IntMatrix, identity, mat_mul, mat_pow, vec_mul
 
@@ -150,8 +144,7 @@ def combined_count(system: CombinedSystem, n: int) -> int:
     if n < 1:
         raise ValueError("word length must be >= 1")
     sched = system.schedule
-    if n > sched.horizon:
-        raise ScheduleExhaustedError(f"length {n} beyond schedule horizon {sched.horizon}")
+    sched.stint_index(n)  # ScheduleExhaustedError beyond the horizon
     last = system._last_count
     j, vec = last if last is not None and last[0] <= n else (1, (1,) * system.k)
     while j < n:
@@ -177,8 +170,7 @@ def combined_count_matrix(system: CombinedSystem, n: int) -> IntMatrix:
     if n == 1:
         return product
     sched = system.schedule
-    if n > sched.horizon:
-        raise ScheduleExhaustedError(f"length {n} beyond schedule horizon {sched.horizon}")
+    sched.stint_index(n)  # ScheduleExhaustedError beyond the horizon
     j = 2
     while j <= n:
         m = sched.stint_index(j)
@@ -193,10 +185,7 @@ def combined_count_series(system: CombinedSystem, n_max: int) -> list[tuple[int,
     """(n, count) for n = 1..n_max by one vector walk along the schedule."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > system.schedule.horizon:
-        raise ScheduleExhaustedError(
-            f"length {n_max} beyond schedule horizon {system.schedule.horizon}"
-        )
+    system.schedule.stint_index(n_max)  # ScheduleExhaustedError beyond the horizon
     pred_tables = [g._pred for g in system.graphs]
     walk = _walk(system.k, lambda j: pred_tables[active_index(system, j)], n_max)
     return [(n, sum(vec)) for n, vec in enumerate(walk, start=1)]
@@ -206,29 +195,19 @@ def iter_combined_word_sets(system: CombinedSystem, n_max: int, cap: int | None 
     """Combined word sets for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if n_max > system.schedule.horizon:
-        raise ScheduleExhaustedError(
-            f"length {n_max} beyond schedule horizon {system.schedule.horizon}"
-        )
-    effective_cap = enumeration_cap(cap)
+    system.schedule.stint_index(n_max)  # ScheduleExhaustedError beyond the horizon
     succ_tables = [g._succ for g in system.graphs]
-
-    def succ_at(j: int):
-        return succ_tables[active_index(system, j)]
-
-    for n, groups in enumerate(
-        _iter_group_levels(system.k, succ_at, n_max, effective_cap), start=1
-    ):
-        yield WordSet(system.alphabet, n, _sorted_groups(groups))
+    yield from _word_sets(
+        system.alphabet,
+        lambda j: succ_tables[active_index(system, j)],
+        n_max,
+        enumeration_cap(cap),
+    )
 
 
 def combined_enumerate(system: CombinedSystem, n: int, cap: int | None = None) -> WordSet:
     """The set of combined words of length n."""
-    result = None
-    for ws in iter_combined_word_sets(system, n, cap):
-        result = ws
-    assert result is not None
-    return result
+    return deque(iter_combined_word_sets(system, n, cap), maxlen=1).pop()
 
 
 @dataclass(frozen=True)
@@ -244,16 +223,6 @@ class SubwordWitness:
             f"word {format_word(alphabet, self.word)!r} has inadmissible subword "
             f"{format_word(alphabet, self.subword)!r} at position {self.start}"
         )
-
-
-def _code_array(ws: WordSet) -> np.ndarray:
-    """A level's codes in ascending order: int64, or object for Python ints."""
-    groups = ws._groups
-    if isinstance(groups[0], np.ndarray):
-        codes = np.concatenate(groups)
-        codes.sort()
-        return codes
-    return np.array(sorted(c for g in groups for c in g), dtype=object)
 
 
 def find_inadmissible_subword(
@@ -272,12 +241,13 @@ def find_inadmissible_subword(
     a miss, and its (m, start) the first pair in scan order that misses
     it; once a miss is found, later pairs only test the words before it.
     """
-    levels = [_code_array(ws) for ws in iter_combined_word_sets(system, n_max, cap)]
+    levels = list(iter_combined_word_sets(system, n_max, cap))
     k = system.k
-    for length, codes in enumerate(levels, start=1):
+    for length, ws in enumerate(levels, start=1):
+        codes = ws._codes
         best, hit = codes.size, None
         for m in range(2, length):
-            target = levels[m - 1]
+            target = levels[m - 1]._codes
             for start in range(length - m + 1):
                 subs = codes[:best] // k ** (length - m - start) % k ** m
                 pos = np.minimum(np.searchsorted(target, subs), target.size - 1)
@@ -285,13 +255,9 @@ def find_inadmissible_subword(
                 if misses.size:
                     best, hit = int(misses[0]), (m, start)
         if hit is not None:
-            code, word = int(codes[best]), []
-            for _ in range(length):
-                code, letter = divmod(code, k)
-                word.append(letter)
-            word.reverse()
+            word = ws._decode(int(codes[best]))
             m, start = hit
-            return SubwordWitness(tuple(word), tuple(word[start : start + m]), start)
+            return SubwordWitness(word, word[start : start + m], start)
     return None
 
 

@@ -1,8 +1,9 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symgraph import (
     Alphabet,
@@ -22,6 +23,7 @@ from symgraph import (
     total_count,
     two_cycle_graph,
 )
+from symgraph.census import _word_sets
 
 SQRT5 = math.sqrt(5)
 MU = (1 + SQRT5) / 2
@@ -34,6 +36,12 @@ def random_graphs(draw, k_max):
     bits = draw(st.lists(st.integers(0, 1), min_size=k * k, max_size=k * k))
     adj = tuple(tuple(bits[i * k:(i + 1) * k]) for i in range(k))
     return DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(k))), adj)
+
+
+def _object_levels(graph, n):
+    """The first n levels on the Python-int path, forced by a long n_max."""
+    levels = _word_sets(graph.alphabet, lambda j: graph._succ, 10 ** 4, 10 ** 6)
+    return list(itertools.islice(levels, n))
 
 
 def brute_force_words(graph, n):
@@ -157,21 +165,39 @@ class TestEnumeration:
                 assert got == expected
 
     def test_python_backend_matches_numpy(self):
-        # a long word forces the big-integer path; counts must still agree
+        # a long word forces the big-integer path; codes must still agree
         g = two_cycle_graph()
         ws = enumerate_words(g, 200)
         assert len(ws) == 2 == total_count(g, 200)
+        assert ws._codes.dtype == object
         g = golden_graph()
-        small = [len(ws) for ws in iter_word_sets(g, 12)]
+        small = [ws.codes() for ws in iter_word_sets(g, 12)]
         # recompute with the arbitrary-precision backend by faking a long n_max
-        from symgraph.census import _iter_group_levels
-        big = [
-            sum(len(x) for x in groups)
-            for groups in itertools.islice(
-                _iter_group_levels(g.k, lambda j: g._succ, 10 ** 4, 10 ** 6), 12
-            )
-        ]
+        big = [ws.codes() for ws in _object_levels(g, 12)]
         assert small == big
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=random_graphs(5), n_max=st.integers(1, 8))
+    @example(graph=DirectedGraph(Alphabet(("x",)), ((0,),)), n_max=3)
+    @example(graph=DirectedGraph(Alphabet(("x", "y", "z")), ((0, 1, 1), (0, 0, 0), (1, 0, 1))), n_max=6)
+    def test_levels_ascending_and_equal_on_both_paths(self, graph, n_max):
+        # k = 1 and sinks included: every level is strictly ascending, holds
+        # exactly the brute-force codes, and is the same on int64 and objects
+        fast = list(iter_word_sets(graph, n_max))
+        assert fast[-1]._codes.dtype == np.int64
+        slow = _object_levels(graph, n_max)
+        assert slow[-1]._codes.dtype == object
+        assert len(fast) == len(slow) == n_max
+        for n, ws, big in zip(range(1, n_max + 1), fast, slow):
+            codes = ws.codes()
+            assert all(a < b for a, b in zip(codes, codes[1:]))
+            expected = sorted(
+                sum(letter * graph.k ** p for p, letter in enumerate(reversed(w)))
+                for w in brute_force_words(graph, n)
+            )
+            assert codes == expected
+            assert big.codes() == codes
+            assert all(type(c) is int for c in big._codes)
 
     def test_cap_error_reports_exact_count(self):
         g = complete_graph()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ from symgraph import (
     quartic_stint,
     total_count,
 )
+from symgraph.census import _word_sets
 from symgraph.combine import SubwordWitness
 
 
@@ -289,6 +291,30 @@ class TestCombinedEnumeration:
             assert size == len(oracle_combined_words(system, n))
             assert size == combined_count(system, n)
 
+    @settings(max_examples=150, deadline=None)
+    @given(system=random_systems(), n_max=st.integers(1, 8))
+    def test_levels_ascending_and_equal_on_both_paths(self, system, n_max):
+        # every level strictly ascending, equal to the step oracle's codes,
+        # and the same on int64 and, forced by a long n_max, on Python ints
+        n_max = min(n_max, system.schedule.horizon)
+        k = system.k
+        fast = list(iter_combined_word_sets(system, n_max))
+        assert fast[-1]._codes.dtype == np.int64
+        succ_at = lambda j: system.graphs[active_index(system, j)]._succ
+        slow = list(itertools.islice(_word_sets(system.alphabet, succ_at, 10 ** 4, 10 ** 6), n_max))
+        assert slow[-1]._codes.dtype == object
+        assert len(fast) == len(slow) == n_max
+        for n, ws, big in zip(range(1, n_max + 1), fast, slow):
+            codes = ws.codes()
+            assert all(a < b for a, b in zip(codes, codes[1:]))
+            expected = sorted(
+                sum(letter * k ** p for p, letter in enumerate(reversed(w)))
+                for w in oracle_combined_words(system, n)
+            )
+            assert codes == expected
+            assert big.codes() == codes
+            assert all(type(c) is int for c in big._codes)
+
     def test_three_graph_system(self):
         # full rotation through three graphs, counts vs the step oracle
         system = CombinedSystem(
@@ -433,7 +459,7 @@ class TestSubwordWitness:
 
         system = CombinedSystem((ring(0, 1), ring(2)), Schedule.from_stints([3, 2, 3, 2]))
         levels = list(iter_combined_word_sets(system, 9))
-        assert not isinstance(levels[-1]._groups[0], np.ndarray)
+        assert levels[-1]._codes.dtype == object
         witness = find_inadmissible_subword(system, 9)
         assert witness is not None
         assert witness == reference_witness(system, 9)
