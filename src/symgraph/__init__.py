@@ -71,7 +71,6 @@ from .combine import (
     SubwordWitness,
     active_index,
     combined_count,
-    combined_count_matrix,
     combined_count_series,
     combined_enumerate,
     find_inadmissible_subword,

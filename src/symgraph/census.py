@@ -275,7 +275,8 @@ def _word_sets(
     is allocated.
     """
     k = alphabet.k
-    dtype = np.int64 if n_max * k.bit_length() < 62 else object
+    # codes and their intermediates c*k + u stay below k**n_max
+    dtype = np.int64 if k ** n_max <= 2 ** 63 else object
     if k > cap:
         raise EnumerationCapError(1, k, cap)
     codes = np.arange(k, dtype=dtype)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .census import WordSet, _walk, _word_sets, enumeration_cap, format_word
 from .graphs import Alphabet, DirectedGraph, GraphSpecError
-from .intmat import IntMatrix, identity, mat_mul, mat_pow, vec_mul
+from .intmat import mat_pow, vec_mul
 
 
 class ScheduleExhaustedError(RuntimeError):
@@ -155,30 +155,6 @@ def combined_count(system: CombinedSystem, n: int) -> int:
         j = hi
     object.__setattr__(system, "_last_count", (n, vec))
     return sum(vec)
-
-
-def combined_count_matrix(system: CombinedSystem, n: int) -> IntMatrix:
-    """Ordered product of the active adjacency matrices for steps 2..n.
-
-    Consecutive equal factors are grouped into matrix powers.  Counts do
-    not need the product: `combined_count` carries only its column sums.
-    """
-    if n < 1:
-        raise ValueError("word length must be >= 1")
-    k = system.k
-    product = identity(k)
-    if n == 1:
-        return product
-    sched = system.schedule
-    sched.stint_index(n)  # ScheduleExhaustedError beyond the horizon
-    j = 2
-    while j <= n:
-        m = sched.stint_index(j)
-        hi = min(sched.g[m], n)
-        graph = system.graphs[(m - 1) % len(system.graphs)]
-        product = mat_mul(product, mat_pow(graph.adjacency, hi - j + 1))
-        j = hi + 1
-    return product
 
 
 def combined_count_series(system: CombinedSystem, n_max: int) -> list[tuple[int, int]]:

@@ -39,7 +39,7 @@ def random_graphs(draw, k_max):
 
 
 def _object_levels(graph, n):
-    """The first n levels on the Python-int path, forced by a long n_max."""
+    """The first n levels with a long n_max: Python ints for k > 1."""
     levels = _word_sets(graph.alphabet, lambda j: graph._succ, 10 ** 4, 10 ** 6)
     return list(itertools.islice(levels, n))
 
@@ -186,7 +186,8 @@ class TestEnumeration:
         fast = list(iter_word_sets(graph, n_max))
         assert fast[-1]._codes.dtype == np.int64
         slow = _object_levels(graph, n_max)
-        assert slow[-1]._codes.dtype == object
+        # a 1-letter alphabet fits int64 at every length
+        assert slow[-1]._codes.dtype == (object if graph.k > 1 else np.int64)
         assert len(fast) == len(slow) == n_max
         for n, ws, big in zip(range(1, n_max + 1), fast, slow):
             codes = ws.codes()
@@ -197,7 +198,18 @@ class TestEnumeration:
             )
             assert codes == expected
             assert big.codes() == codes
-            assert all(type(c) is int for c in big._codes)
+            if graph.k > 1:
+                assert all(type(c) is int for c in big._codes)
+
+    def test_int64_boundary(self):
+        # two letters: every code is below 2**63 through n = 63; at n = 64
+        # the word BABA... has code 2**63 + 2**61 + ... + 2
+        g = two_cycle_graph()
+        for n, dtype in ((63, np.int64), (64, object)):
+            levels = list(iter_word_sets(g, n))
+            assert levels[-1]._codes.dtype == dtype
+            assert [ws.codes() for ws in levels] == [ws.codes() for ws in _object_levels(g, n)]
+        assert levels[-1].codes()[-1] == sum(2 ** p for p in range(1, 64, 2))
 
     def test_cap_error_reports_exact_count(self):
         g = complete_graph()

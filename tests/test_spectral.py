@@ -27,7 +27,7 @@ from symgraph import (
 )
 from symgraph import spectral
 from symgraph.intmat import mat_pow, mat_total
-from symgraph.spectral import CharPoly, RecurrenceFailure, _squarefree_factors
+from symgraph.spectral import CharPoly, RecurrenceFailure, RecurrenceReport, _squarefree_factors
 from fractions import Fraction
 
 MU = (1 + math.sqrt(5)) / 2
@@ -122,6 +122,24 @@ class TestRecurrence:
             if mat_total(powers[n]) != want:
                 failures.append(RecurrenceFailure(n, None, None, want, mat_total(powers[n])))
         return tuple(failures)
+
+    def test_annihilating_polynomial_other_than_charpoly(self, monkeypatch):
+        # x^3 - 2x^2 - 3x = chi + (x^2 - 3x) also vanishes at the all-ones matrix
+        graph = complete_graph()
+        poly = CharPoly((1, -2, -3, 0))
+        assert poly != char_poly(graph)
+        monkeypatch.setattr(spectral, "char_poly", lambda g: poly)
+        report = verify_recurrence(graph, 40)
+        assert report == RecurrenceReport(True, 40, ())
+        assert self.brute_force_failures(graph, poly.coefficients, 40) == ()
+
+    def test_any_n_max_is_proved_at_once(self):
+        # the scan over n could not reach this n_max; chi(M) = 0 settles it
+        rng = random.Random(16)
+        k = 16
+        adj = tuple(tuple(int(rng.random() < 0.3) for _ in range(k)) for _ in range(k))
+        graph = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(k))), adj)
+        assert verify_recurrence(graph, 10 ** 5) == RecurrenceReport(True, 10 ** 5, ())
 
     def test_failures_of_a_perturbed_polynomial(self, monkeypatch):
         # linear_graph has a zero coefficient, which the perturbation can make nonzero
