@@ -16,13 +16,17 @@ floating-point root clustering alone.  The integer polynomial is first
 split into square-free factors by Yun's algorithm in exact rational
 arithmetic, so each numerical root comes with an exact multiplicity;
 the 1e-7 clustering tolerance then only merges genuinely coincident
-values and defines "ties" for the dominant modulus.
+values and defines "ties" for the dominant modulus.  The split, the
+float roots and the cluster checks run once per distinct polynomial
+(with its zero roots removed) and tolerance; later calls read the
+stored, immutable root table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,22 +102,32 @@ class CharPoly:
 
 def char_poly(graph: DirectedGraph) -> CharPoly:
     """det(xI - M) with exact integer coefficients (Berkowitz, division-free)."""
-    a = graph.adjacency
-    k = graph.k
-    v = [1, -a[0][0]]
-    for r in range(2, k + 1):
-        sub = [row[: r - 1] for row in a[: r - 1]]
-        row = a[r - 1][: r - 1]
-        col = [a[i][r - 1] for i in range(r - 1)]
-        # Toeplitz column: 1, -a_rr, -(row @ sub^i @ col) for i = 0..r-2
-        toep = [1, -a[r - 1][r - 1]]
-        w = list(col)
-        for _ in range(r - 1):
-            toep.append(-sum(x * y for x, y in zip(row, w)))
-            w = [sum(sub[i][j] * w[j] for j in range(r - 1)) for i in range(r - 1)]
-        nv = [0] * (r + 1)
-        for i in range(r + 1):
-            nv[i] = sum(toep[i - j] * v[j] for j in range(len(v)) if 0 <= i - j < len(toep))
+    return _berkowitz(graph._succ)
+
+
+@lru_cache(maxsize=128)
+def _berkowitz(succ: tuple[tuple[int, ...], ...]) -> CharPoly:
+    # Successor lists fix the graph, so one graph's repeated callers
+    # (analyze's table, closed form and recurrence check) share one run.
+    # Step m borders the leading m x m block with row and column m.
+    v = [1, -int(0 in succ[0])]
+    for m in range(1, len(succ)):
+        block = [[j for j in s if j < m] for s in succ[:m]]
+        row = [j for j in succ[m] if j < m]
+        # Toeplitz column: 1, -a_mm, -(row @ block^i @ col) for i = 0..m-1
+        toep = [1, -int(m in succ[m])]
+        w = [int(m in s) for s in succ[:m]]
+        for i in range(m):
+            if i:
+                w = [sum(map(w.__getitem__, b)) for b in block]
+            toep.append(-sum(map(w.__getitem__, row)))
+        # v <- (lower-triangular Toeplitz matrix of toep) @ v, one entry longer
+        nv = [0] * (m + 2)
+        for j, c in enumerate(v):
+            if c:
+                for t, d in enumerate(toep[: m + 2 - j]):
+                    if d:
+                        nv[j + t] += d * c
         v = nv
     return CharPoly(tuple(v))
 
@@ -317,11 +331,20 @@ class ClosedForm:
         return None
 
 
-def _roots_with_multiplicity(poly: CharPoly, root_tol: float) -> list[tuple[complex, int]]:
-    z = poly.trailing_zeros
-    reduced = poly.coefficients[: len(poly.coefficients) - z]
+def _roots_with_multiplicity(poly: CharPoly, root_tol: float) -> tuple[tuple[complex, int], ...]:
+    """Nonzero roots with exact multiplicities, by decreasing modulus."""
+    reduced = poly.coefficients[: len(poly.coefficients) - poly.trailing_zeros]
+    return _root_table(reduced, root_tol)
+
+
+@lru_cache(maxsize=4096)
+def _root_table(reduced: tuple[int, ...], root_tol: float) -> tuple[tuple[complex, int], ...]:
+    # Many graphs share a polynomial (333 distinct among the 61,344
+    # connected 4-vertex digraphs), so the exact split and the float
+    # roots run once per polynomial.  A raised RootClusterError is not
+    # cached: every call with that input raises it again.
     if len(reduced) == 1:
-        return []
+        return ()
     frac = tuple(Fraction(c) for c in reduced)
     pairs: list[tuple[complex, int]] = []
     for factor, mult in _squarefree_factors(frac):
@@ -354,7 +377,7 @@ def _roots_with_multiplicity(poly: CharPoly, root_tol: float) -> list[tuple[comp
                     f"distinct roots {a} and {b} within tolerance {root_tol:.1e}"
                 )
     merged.sort(key=lambda p: (-abs(p[0]), -p[0].real, p[0].imag))
-    return merged
+    return tuple(merged)
 
 
 def closed_form(
@@ -497,24 +520,25 @@ def graph_from_bitmask(k: int, bitmask: int) -> DirectedGraph:
 
 def iter_connected_bitmasks(k: int):
     """Row-major bitmasks of all weakly connected digraphs on k labeled vertices."""
-    for mask in range(1 << (k * k)):
-        parent = list(range(k))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        touched = [False] * k
-        for i in range(k):
-            for j in range(k):
-                if (mask >> (i * k + j)) & 1:
-                    touched[i] = touched[j] = True
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[ri] = rj
-        if all(touched) and len({find(i) for i in range(k)}) == 1:
+    full = (1 << k) - 1
+    bits_of = [tuple(j for j in range(k) if (r >> j) & 1) for r in range(1 << k)]
+    # mask 0 is skipped: no graph without edges counts as connected
+    for mask in range(1, 1 << (k * k)):
+        # undirected neighbours of each vertex, as vertex bitmasks
+        rows = [(mask >> (i * k)) & full for i in range(k)]
+        nbr = rows[:]
+        for i, row in enumerate(rows):
+            for j in bits_of[row]:
+                nbr[j] |= 1 << i
+        # flood fill from vertex 0
+        seen = frontier = 1
+        while frontier:
+            reach = 0
+            for i in bits_of[frontier]:
+                reach |= nbr[i]
+            frontier = reach & ~seen
+            seen |= reach
+        if seen == full:
             yield mask
 
 

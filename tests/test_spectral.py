@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import math
 import random
 
 import pytest
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from symgraph import (
     Alphabet,
@@ -31,6 +34,15 @@ from symgraph.spectral import CharPoly, RecurrenceFailure, RecurrenceReport, _sq
 from fractions import Fraction
 
 MU = (1 + math.sqrt(5)) / 2
+
+
+@st.composite
+def dense_or_sparse_matrices(draw, k_max):
+    """0/1 matrices whose density runs over all of [0, 1]: empty and full rows both occur."""
+    k = draw(st.integers(1, k_max))
+    density = draw(st.floats(0, 1))
+    cells = draw(st.lists(st.floats(0, 1, exclude_max=True), min_size=k * k, max_size=k * k))
+    return tuple(tuple(int(u < density) for u in cells[i * k:(i + 1) * k]) for i in range(k))
 
 
 def chain_witness_graph():
@@ -77,6 +89,30 @@ class TestCharPoly:
 
     def test_pretty(self):
         assert char_poly(golden_graph()).pretty() == "x^3 - 2x^2 + 1"
+
+    @settings(max_examples=150, deadline=None)
+    @given(adj=dense_or_sparse_matrices(12))
+    @example(adj=((0,),))
+    @example(adj=((1,),))
+    @example(adj=((1, 1, 1), (1, 1, 1), (1, 1, 1)))
+    @example(adj=((0, 0, 0, 0), (1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 0, 1)))
+    @example(adj=((0, 1, 1), (0, 0, 1), (0, 0, 0)))
+    def test_matches_sympy(self, adj):
+        # sparse rows and columns, all-ones blocks and loops against sympy's charpoly
+        k = len(adj)
+        graph = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(k))), adj)
+        expected = tuple(int(c) for c in sympy.Matrix(adj).charpoly().all_coeffs())
+        assert char_poly(graph).coefficients == expected
+        assert all(type(c) is int for c in char_poly(graph).coefficients)
+
+    def test_one_run_per_graph(self):
+        # analyze asks for chi three times; equal successor lists share one result
+        g = chain_witness_graph()
+        same = DirectedGraph(Alphabet(("P", "Q", "R", "S")), g.adjacency)
+        first = char_poly(g)
+        hits = spectral._berkowitz.cache_info().hits
+        assert char_poly(g) is first and char_poly(same) is first
+        assert spectral._berkowitz.cache_info().hits == hits + 2
 
 
 class TestRecurrence:
@@ -337,11 +373,37 @@ class TestScan:
         assert report.mixed_strongly_connected == ()
 
     def test_k3_deterministic_and_no_strong_mixed(self):
-        r1 = conjecture_scan(3)
-        r2 = conjecture_scan(3)
-        assert r1.to_csv() == r2.to_csv()
-        assert r1.mixed_strongly_connected == ()
-        assert r1.candidates_by_k == ((1, 2), (2, 16), (3, 512))
+        # the digest of the table written before polynomials and roots were memoized
+        report = conjecture_scan(3)
+        assert hashlib.sha256(report.to_csv().encode()).hexdigest() == (
+            "753ac2ecf15cce07eb974d74f8722069cf6e408462966f659ebd0f60141f4b2f"
+        )
+        assert report.mixed_strongly_connected == ()
+        assert report.candidates_by_k == ((1, 2), (2, 16), (3, 512))
+
+    def test_connected_bitmasks_match_union_find(self):
+        def connected(k, mask):
+            parent = list(range(k))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            touched = set()
+            for i in range(k):
+                for j in range(k):
+                    if (mask >> (i * k + j)) & 1:
+                        touched |= {i, j}
+                        parent[find(i)] = find(j)
+            return len(touched) == k and len({find(i) for i in range(k)}) == 1
+
+        for k in (1, 2, 3):
+            expected = [mask for mask in range(1 << (k * k)) if connected(k, mask)]
+            assert list(iter_connected_bitmasks(k)) == expected
+        masks = list(iter_connected_bitmasks(4))
+        assert len(masks) == 61_344
+        assert masks == sorted(set(masks))
 
     def test_k3_perron_roots_real_simple_for_strongly_connected(self):
         # dominant root of every strongly connected graph is real and simple
@@ -400,3 +462,25 @@ class TestNumericalGuards:
         roots = _roots_with_multiplicity(CharPoly((1, -2, 2, -1)), 1e-7)
         assert len(roots) == 3
         assert all(m == 1 for _, m in roots)
+
+    def test_root_table_cache_cannot_be_corrupted(self):
+        from symgraph import CharPoly, RootClusterError
+        from symgraph.spectral import _roots_with_multiplicity
+        poly = CharPoly((1, -2, 2, -1))
+        first = _roots_with_multiplicity(poly, 1e-7)
+        kept = list(first)
+        with pytest.raises((TypeError, AttributeError)):
+            first[0] = (0j, 9)
+        with pytest.raises((TypeError, AttributeError)):
+            first.append((0j, 9))
+        hits = spectral._root_table.cache_info().hits
+        assert _roots_with_multiplicity(poly, 1e-7) == tuple(kept)
+        assert spectral._root_table.cache_info().hits == hits + 1
+        # errors are not cached: each call recomputes and raises again
+        for _ in range(2):
+            with pytest.raises(RootClusterError):
+                _roots_with_multiplicity(poly, 1.35)
+        roots = _roots_with_multiplicity(poly, 1e-7)
+        assert len(roots) == 3 and all(m == 1 for _, m in roots)
+        # trailing zero roots do not enter the key: x * chi shares chi's table
+        assert _roots_with_multiplicity(CharPoly((1, -2, 2, -1, 0)), 1e-7) is roots
