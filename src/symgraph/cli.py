@@ -59,8 +59,6 @@ from .presets import (
     quartic_schedule,
 )
 from .spectral import (
-    IllConditionedError,
-    RootClusterError,
     char_poly,
     classify_growth,
     closed_form,
@@ -76,7 +74,6 @@ _BOUND_FNS = {GOLDEN_LINEAR: golden_linear_bounds, COMPLETE_LINEAR: complete_lin
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_STRICT_BOUND = 3
-EXIT_NUMERICAL = 4
 
 
 @dataclass
@@ -210,7 +207,7 @@ def cmd_analyze(args: argparse.Namespace) -> ExperimentOutput:
         [[str(poly.degree - i), str(c)] for i, c in enumerate(poly.coefficients)],
     ))
 
-    form = closed_form(graph, root_tol=args.root_tol)
+    form = closed_form(graph)
     rows = []
     for term in form.terms:
         for q, c in enumerate(term.coefficients):
@@ -227,7 +224,7 @@ def cmd_analyze(args: argparse.Namespace) -> ExperimentOutput:
 
     series = count_series(graph, args.n_max)
     ent = entropy_series(series)
-    growth = classify_growth(form, coeff_tol=args.coeff_tol, root_tol=args.root_tol)
+    growth = classify_growth(form)
     h_top = topological_entropy_estimate(ent) if len(ent) >= 2 else float("nan")
     out.tables.append(Table(
         "analyze_growth",
@@ -314,14 +311,12 @@ def cmd_scan(args: argparse.Namespace) -> ExperimentOutput:
         [[str(r.bitmask), str(r.k), _fmt_bool(r.strongly_connected),
           r.kind, _fmt_float(r.rho), str(r.poly_degree)] for r in report.rows],
     ))
-    summary_rows = []
-    for k, candidates in report.candidates_by_k:
-        rows_k = [r for r in report.rows if r.k == k]
-        summary_rows.append([
-            str(k), str(candidates), str(len(rows_k)),
-            str(sum(1 for r in rows_k if r.kind == "mixed-polynomial-exponential" and r.strongly_connected)),
-            str(sum(1 for r in rows_k if r.kind == "mixed-polynomial-exponential" and not r.strongly_connected)),
-        ])
+    summary_rows = [
+        [str(k), str(candidates)]
+        + [str(sum(r.k == k for r in rows))
+           for rows in (report.rows, report.mixed_strongly_connected, report.mixed_weakly_only)]
+        for k, candidates in report.candidates_by_k
+    ]
     out.tables.append(Table(
         "scan_summary",
         ["k", "candidates", "weakly_connected_graphs", "mixed_strongly_connected", "mixed_weakly_only"],
@@ -433,8 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="nonzero exit when a bound report fails")
         p.add_argument("--enum-cap", type=int, default=None,
                        help=f"word-enumeration cap (default {enumeration_cap()})")
-        p.add_argument("--root-tol", type=float, default=1e-7)
-        p.add_argument("--coeff-tol", type=float, default=1e-8)
 
     p = sub.add_parser("analyze", help="single-graph analysis")
     common(p, graphs=True)
@@ -476,9 +469,6 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphSpecError, EnumerationCapError, ScheduleExhaustedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (IllConditionedError, RootClusterError) as exc:
-        print(f"error: closed form: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     paths = output.write(args.out, args.format)
     for path in paths:
         print(f"wrote {path}")

@@ -11,15 +11,16 @@ scans all small weakly connected digraphs for mixed-growth witnesses.
 The polynomial vanishing at the matrix proves the recurrence at every n
 at once; the scan over n runs only to list the failures.
 
-Numerical policy: eigenvalue multiplicities are never inferred from
-floating-point root clustering alone.  The integer polynomial is first
-split into square-free factors by Yun's algorithm in exact rational
-arithmetic, so each numerical root comes with an exact multiplicity;
-the 1e-7 clustering tolerance then only merges genuinely coincident
-values and defines "ties" for the dominant modulus.  The split, the
-float roots and the cluster checks run once per distinct polynomial
-(with its zero roots removed) and tolerance; later calls read the
-stored, immutable root table.
+Numerical policy: neither the root table nor the closed form rests on a
+float tolerance.  The integer polynomial is split into square-free
+factors by Yun's algorithm in exact rational arithmetic, so each float
+root comes with an exact multiplicity, and roots of different factors
+are distinct because the factors are pairwise coprime.  The closed-form
+coefficients are residues of the exact rational generating function,
+read at each float root without a linear solve.  Only classify_growth
+still compares floats, by ROOT_TOL and COEFF_TOL.  The split and the
+float roots run once per distinct polynomial (with its zero roots
+removed); later calls read the stored, immutable root table.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from .graphs import Alphabet, DirectedGraph, validate
 from .intmat import IntMatrix, identity, mat_mul
 from .census import count_series
 
-ROOT_TOL = 1e-7     # clustering tolerance == distinctness threshold
+ROOT_TOL = 1e-7     # float distance at which two roots or moduli count as equal
 COEFF_TOL = 1e-8    # relative modulus below which a term is treated as absent
-COND_LIMIT = 1e12
 
 EXPONENTIAL = "exponential"
 POLYNOMIAL = "polynomial"
@@ -44,11 +44,19 @@ MIXED = "mixed-polynomial-exponential"
 
 
 class RootClusterError(RuntimeError):
-    """Root clustering is ambiguous at the configured tolerance."""
+    """Root clustering is ambiguous at the configured tolerance.
+
+    Nothing in symgraph raises it; it stays because the benchmark
+    harness (perfbench) imports it.
+    """
 
 
 class IllConditionedError(RuntimeError):
-    """The closed-form coefficient system is numerically unreliable."""
+    """The closed-form coefficient system is numerically unreliable.
+
+    Nothing in symgraph raises it; it stays because the benchmark
+    harness (perfbench) imports it.
+    """
 
     def __init__(self, condition: float):
         self.condition = condition
@@ -313,7 +321,6 @@ class ClosedForm:
     terms: tuple[ClosedFormTerm, ...]
     validity_floor: int
     zero_multiplicity: int
-    condition: float
 
     def evaluate(self, n: int) -> float:
         acc = 0j
@@ -331,93 +338,77 @@ class ClosedForm:
         return None
 
 
-def _roots_with_multiplicity(poly: CharPoly, root_tol: float) -> tuple[tuple[complex, int], ...]:
+def _roots_with_multiplicity(poly: CharPoly) -> tuple[tuple[complex, int], ...]:
     """Nonzero roots with exact multiplicities, by decreasing modulus."""
     reduced = poly.coefficients[: len(poly.coefficients) - poly.trailing_zeros]
-    return _root_table(reduced, root_tol)
+    return _root_table(reduced)
 
 
 @lru_cache(maxsize=4096)
-def _root_table(reduced: tuple[int, ...], root_tol: float) -> tuple[tuple[complex, int], ...]:
+def _root_table(reduced: tuple[int, ...]) -> tuple[tuple[complex, int], ...]:
     # Many graphs share a polynomial (333 distinct among the 61,344
     # connected 4-vertex digraphs), so the exact split and the float
-    # roots run once per polynomial.  A raised RootClusterError is not
-    # cached: every call with that input raises it again.
-    if len(reduced) == 1:
-        return ()
-    frac = tuple(Fraction(c) for c in reduced)
-    pairs: list[tuple[complex, int]] = []
-    for factor, mult in _squarefree_factors(frac):
-        coefs = [float(c) for c in factor]
-        for r in np.roots(coefs):
-            pairs.append((complex(r), mult))
-    # merge numerically coincident roots across factors
-    clusters: list[list[tuple[complex, int]]] = []
-    for root, mult in sorted(pairs, key=lambda p: (p[0].real, p[0].imag)):
-        for cluster in clusters:
-            if abs(cluster[0][0] - root) <= root_tol:
-                cluster.append((root, mult))
-                break
-        else:
-            clusters.append([(root, mult)])
-    merged: list[tuple[complex, int]] = []
-    for cluster in clusters:
-        span = max(abs(a[0] - b[0]) for a in cluster for b in cluster)
-        if span > root_tol:
-            raise RootClusterError(
-                f"cluster diameter {span:.3e} exceeds tolerance {root_tol:.1e}"
-            )
-        total_mult = sum(m for _, m in cluster)
-        center = sum(r * m for r, m in cluster) / total_mult
-        merged.append((center, total_mult))
-    for a, _ in merged:
-        for b, _ in merged:
-            if a is not b and abs(a - b) <= root_tol:
-                raise RootClusterError(
-                    f"distinct roots {a} and {b} within tolerance {root_tol:.1e}"
-                )
-    merged.sort(key=lambda p: (-abs(p[0]), -p[0].real, p[0].imag))
-    return tuple(merged)
+    # roots run once per polynomial.  Yun's factors are pairwise coprime,
+    # so no root appears in two of them.
+    pairs = [
+        (complex(r), mult)
+        for factor, mult in _squarefree_factors(tuple(Fraction(c) for c in reduced))
+        for r in np.roots([float(c) for c in factor])
+    ]
+    pairs.sort(key=lambda p: (-abs(p[0]), -p[0].real, p[0].imag))
+    return tuple(pairs)
 
 
-def closed_form(
-    graph: DirectedGraph,
-    root_tol: float = ROOT_TOL,
-    cond_limit: float = COND_LIMIT,
-) -> ClosedForm:
+def _w_series(p: list[int] | tuple[int, ...], root: complex, terms: int) -> list[complex]:
+    """First coefficients in w = 1 - root*x of sum_i p[i] x^i."""
+    # repeated synthetic division by (x - 1/root) gives the Taylor
+    # coefficients at 1/root, and x - 1/root = -w/root
+    x0 = 1 / root
+    rest = [complex(c) for c in reversed(p)]
+    out = []
+    for order in range(terms):
+        for i in range(1, len(rest)):
+            rest[i] += rest[i - 1] * x0
+        out.append(rest.pop() * (-x0) ** order if rest else 0j)
+    return out
+
+
+def closed_form(graph: DirectedGraph) -> ClosedForm:
     """Closed form of the total count over the nonzero eigenvalues.
 
-    Coefficients are solved from exact counts at n = z+1 .. z+u, where z
-    is the exact multiplicity of the zero root and u the number of
-    unknowns; the form is exact for every n >= z+1.
+    The counts t(n) of n-letter words have the rational generating
+    function G(x) = sum_{n>=1} t(n) x^n = N(x)/D(x), where
+    D(x) = det(I - xM) is the characteristic polynomial read low-first
+    and N = D*G mod x^(k+1) is exact from the first k counts (Stanley,
+    Enumerative Combinatorics I, Thm 4.1.1; Flajolet & Sedgewick,
+    Analytic Combinatorics, IV.5).  A nonzero root r of multiplicity m
+    is a pole of order m at x = 1/r.  Its principal part
+    sum_{j=1..m} b_j / (1 - rx)^j, one series division in w = 1 - rx,
+    contributes b_j C(n+j-1, j-1) r^n to t(n); for a simple root
+    b_1 = -r N(1/r) / D'(1/r).  The polynomial part of N/D has degree
+    at most z, the multiplicity of the zero root, so the form is exact
+    for every n >= z+1.
     """
     poly = char_poly(graph)
     z = poly.trailing_zeros
-    roots = _roots_with_multiplicity(poly, root_tol)
-    u = sum(m for _, m in roots)
-    if u == 0:
-        return ClosedForm((), z + 1, z, 1.0)
-    ns = list(range(z + 1, z + u + 1))
-    counts = [row.total for row in count_series(graph, z + u).rows[z:]]
-    columns: list[tuple[complex, int]] = [
-        (root, q) for root, mult in roots for q in range(mult)
-    ]
-    a = np.array(
-        [[(n ** q) * (root ** n) for root, q in columns] for n in ns],
-        dtype=complex,
-    )
-    b = np.array([float(c) for c in counts], dtype=complex)
-    condition = float(np.linalg.cond(a))
-    if condition > cond_limit:
-        raise IllConditionedError(condition)
-    solution = np.linalg.solve(a, b)
+    d = poly.coefficients
+    t = [0] + [row.total for row in count_series(graph, poly.degree).rows]
+    num = [sum(d[i] * t[n - i] for i in range(n + 1)) for n in range(len(d))]
     terms = []
-    pos = 0
-    for root, mult in roots:
-        coefs = tuple(complex(solution[pos + q]) for q in range(mult))
-        terms.append(ClosedFormTerm(root, mult, coefs))
-        pos += mult
-    return ClosedForm(tuple(terms), z + 1, z, condition)
+    for root, m in _roots_with_multiplicity(poly):
+        nw = _w_series(num, root, m)
+        dw = _w_series(d, root, 2 * m)[m:]  # D / w^m: D's first m terms vanish
+        a: list[complex] = []  # N / (D / w^m) to m terms, so b_j = a[m - j]
+        for i in range(m):
+            a.append((nw[i] - sum(a[h] * dw[i - h] for h in range(i))) / dw[0])
+        coefs = [0j] * m
+        binom = [1.0]  # C(n+j-1, j-1) in powers of n, low-first
+        for j in range(1, m + 1):
+            for q, c in enumerate(binom):
+                coefs[q] += a[m - j] * c
+            binom = [(lo * j + hi) / j for lo, hi in zip(binom + [0], [0] + binom)]
+        terms.append(ClosedFormTerm(root, m, tuple(coefs)))
+    return ClosedForm(tuple(terms), z + 1, z)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +434,7 @@ def classify_growth(
     root modulus and the polynomial degree is the largest power attached
     to a root of that modulus.
     """
-    form = source if isinstance(source, ClosedForm) else closed_form(source, root_tol)
+    form = source if isinstance(source, ClosedForm) else closed_form(source)
     entries = [
         (term.root, q, c)
         for term in form.terms

@@ -33,6 +33,7 @@ from symgraph import (
     CombinedSystem,
     quartic_schedule,
 )
+from symgraph import spectral
 
 MU = (1 + math.sqrt(5)) / 2
 
@@ -251,6 +252,9 @@ def test_criterion_09_entropy_estimates():
 
 def test_criterion_10_scan_deterministic():
     r1 = conjecture_scan(3)
+    # drop the memoized polynomials and root tables, so the second run recomputes
+    spectral._berkowitz.cache_clear()
+    spectral._root_table.cache_clear()
     r2 = conjecture_scan(3)
     identical = r1.to_csv().encode() == r2.to_csv().encode()
     no_strong_mixed = r1.mixed_strongly_connected == ()
