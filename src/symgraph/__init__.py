@@ -25,6 +25,7 @@ from .graphs import (
     graph_to_json,
     higher_order_graph,
     parse_graph,
+    strongly_connected_components,
     validate,
 )
 from .census import (

@@ -79,14 +79,15 @@ def as_indices(alphabet: Alphabet, word: str | Sequence[str] | Sequence[int]) ->
                 "string words need a single-character alphabet; pass a symbol sequence"
             )
         return tuple(alphabet.index(ch) for ch in word)
+    k = alphabet.k
     letters: list[int] = []
     for item in word:
         if isinstance(item, str):
             letters.append(alphabet.index(item))
         else:
             idx = int(item)
-            if not 0 <= idx < alphabet.k:
-                raise GraphSpecError(f"letter index {idx} out of range for k={alphabet.k}")
+            if not 0 <= idx < k:
+                raise GraphSpecError(f"letter index {idx} out of range for k={k}")
             letters.append(idx)
     return tuple(letters)
 
@@ -254,9 +255,10 @@ class WordSet:
             return False
         if len(letters) != self.length:
             return False
+        k = self.alphabet.k
         code = 0
         for letter in letters:
-            code = code * self.alphabet.k + letter
+            code = code * k + letter
         return self.contains_code(code)
 
 

@@ -224,7 +224,7 @@ def cmd_analyze(args: argparse.Namespace) -> ExperimentOutput:
 
     series = count_series(graph, args.n_max)
     ent = entropy_series(series)
-    growth = classify_growth(form)
+    growth = classify_growth(graph)
     h_top = topological_entropy_estimate(ent) if len(ent) >= 2 else float("nan")
     out.tables.append(Table(
         "analyze_growth",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .intmat import IntMatrix, mat_total
 
@@ -196,16 +197,38 @@ def _undirected_components(graph: DirectedGraph) -> int:
     return len({find(i) for i in range(k)})
 
 
-def _reachable(succ, start: int, k: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in succ[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
+def strongly_connected_components(graph: DirectedGraph) -> tuple[tuple[int, ...], ...]:
+    """Vertex sets of the strongly connected components, successors first.
+
+    Reachability is closed transitively over vertex bitmasks (Warshall);
+    a component is the set of vertices that reach one vertex and are
+    reached from it.  If component A reaches component B, what A reaches
+    strictly contains what B reaches, so ordering by the size of that set
+    puts every component after all the components it reaches.
+    """
+    return _components(graph._succ)
+
+
+@lru_cache(maxsize=128)
+def _components(succ: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    # keyed by the successor lists, so validate and classify_growth on one
+    # graph share one run
+    k = len(succ)
+    reach = [1 << v | sum(1 << j for j in s) for v, s in enumerate(succ)]
+    for m in range(k):
+        bit = 1 << m
+        for i in range(k):
+            if reach[i] & bit:
+                reach[i] |= reach[m]
+    found = []
+    seen = 0
+    for v in range(k):
+        if not seen >> v & 1:
+            comp = tuple(u for u in range(k) if reach[v] >> u & 1 and reach[u] >> v & 1)
+            seen |= sum(1 << u for u in comp)
+            found.append((reach[v].bit_count(), comp))
+    found.sort()
+    return tuple(comp for _, comp in found)
 
 
 def validate(graph: DirectedGraph) -> GraphDiagnostics:
@@ -219,10 +242,7 @@ def validate(graph: DirectedGraph) -> GraphDiagnostics:
     k = graph.k
     isolated = any(not graph._succ[i] and not graph._pred[i] for i in range(k))
     weakly = not isolated and _undirected_components(graph) == 1
-    strongly = (
-        len(_reachable(graph._succ, 0, k)) == k
-        and len(_reachable(graph._pred, 0, k)) == k
-    )
+    strongly = len(strongly_connected_components(graph)) == 1
     absorbing = tuple(
         graph.alphabet.symbols[i]
         for i in range(k)

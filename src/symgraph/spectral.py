@@ -11,16 +11,20 @@ scans all small weakly connected digraphs for mixed-growth witnesses.
 The polynomial vanishing at the matrix proves the recurrence at every n
 at once; the scan over n runs only to list the failures.
 
-Numerical policy: neither the root table nor the closed form rests on a
-float tolerance.  The integer polynomial is split into square-free
-factors by Yun's algorithm in exact rational arithmetic, so each float
-root comes with an exact multiplicity, and roots of different factors
-are distinct because the factors are pairwise coprime.  The closed-form
-coefficients are residues of the exact rational generating function,
-read at each float root without a linear solve.  Only classify_growth
-still compares floats, by ROOT_TOL and COEFF_TOL.  The split and the
-float roots run once per distinct polynomial (with its zero roots
-removed); later calls read the stored, immutable root table.
+Numerical policy: no decision rests on a float tolerance.  The integer
+polynomial is split into square-free factors by Yun's algorithm in
+exact rational arithmetic, so each float root comes with an exact
+multiplicity, and roots of different factors are distinct because the
+factors are pairwise coprime.  The closed-form coefficients are
+residues of the exact rational generating function, read at each float
+root without a linear solve.  The growth class of a graph comes from its
+strongly connected components; ties between their Perron roots are
+decided by gcds and Sturm counts on rational intervals.  ROOT_TOL and
+COEFF_TOL remain only for classifying a given closed form and for
+picking the reported rho where several roots share the top modulus.
+The split and the float roots run once per distinct polynomial (with
+its zero roots removed); later calls read the stored, immutable root
+table.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import Alphabet, DirectedGraph, validate
+from .graphs import Alphabet, DirectedGraph, strongly_connected_components, validate
 from .intmat import IntMatrix, identity, mat_mul
 from .census import count_series
 
@@ -306,6 +310,63 @@ def _zip_pad(a: Poly, b: Poly):
 
 
 # ---------------------------------------------------------------------------
+# exact comparison of largest real roots (Sturm sequences)
+
+
+def _mul(a: Poly, b: Poly) -> Poly:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _sturm_chain(p: Poly) -> list[Poly]:
+    """Sturm sequence of the square-free part of p, which has p's real roots."""
+    p = _divmod(p, _gcd(p, _deriv(p)))[0]
+    chain = [p, _deriv(p)]
+    while len(chain[-1]) > 1:
+        chain.append(tuple(-c for c in _divmod(chain[-2], chain[-1])[1]))
+    return chain
+
+
+def _roots_above(chain: list[Poly], x: Fraction) -> int:
+    """Number of distinct real roots above x (Sturm's theorem)."""
+    def changes(signs: list[bool]) -> int:
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    values = []
+    for q in chain:
+        v = Fraction(0)
+        for c in q:
+            v = v * x + c
+        values.append(v)
+    return changes([v > 0 for v in values if v]) - changes([q[0] > 0 for q in chain if q[0]])
+
+
+@lru_cache(maxsize=1024)
+def _top_owners(polys: tuple[Poly, ...]) -> tuple[int, ...]:
+    """Indices of the polynomials whose largest real root is the largest of all.
+
+    Every root of each polynomial is a root of their lcm, p*q/gcd(p, q)
+    taken in turn.  Bisection from Cauchy's bound isolates the lcm's
+    largest real root in a rational interval (lo, hi] that holds no other
+    root; a polynomial owns that root exactly when it has a root above lo.
+    At least one polynomial must have a real root.
+    """
+    lcm = polys[0]
+    for p in polys[1:]:
+        lcm = _divmod(_mul(lcm, p), _gcd(lcm, p))[0]
+    chain = _sturm_chain(lcm)
+    hi = 1 + max(abs(c / chain[0][0]) for c in chain[0][1:])
+    lo = -hi
+    while _roots_above(chain, lo) > 1:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _roots_above(chain, mid) else (lo, mid)
+    return tuple(i for i, p in enumerate(polys) if _roots_above(_sturm_chain(p), lo))
+
+
+# ---------------------------------------------------------------------------
 # closed form
 
 
@@ -373,6 +434,29 @@ def _w_series(p: list[int] | tuple[int, ...], root: complex, terms: int) -> list
     return out
 
 
+def _numerator(graph: DirectedGraph, poly: CharPoly) -> list[int]:
+    """N = D*G mod x^(k+1), low-first, from the exact counts t(1..k)."""
+    d = poly.coefficients
+    t = [0] + [row.total for row in count_series(graph, poly.degree).rows]
+    return [sum(d[i] * t[n - i] for i in range(n + 1)) for n in range(len(d))]
+
+
+def _term(num: list[int], d: tuple[int, ...], root: complex, m: int) -> ClosedFormTerm:
+    """The closed-form term of one root, from the principal part of N/D there."""
+    nw = _w_series(num, root, m)
+    dw = _w_series(d, root, 2 * m)[m:]  # D / w^m: D's first m terms vanish
+    a: list[complex] = []  # N / (D / w^m) to m terms, so b_j = a[m - j]
+    for i in range(m):
+        a.append((nw[i] - sum(a[h] * dw[i - h] for h in range(i))) / dw[0])
+    coefs = [0j] * m
+    binom = [1.0]  # C(n+j-1, j-1) in powers of n, low-first
+    for j in range(1, m + 1):
+        for q, c in enumerate(binom):
+            coefs[q] += a[m - j] * c
+        binom = [(lo * j + hi) / j for lo, hi in zip(binom + [0], [0] + binom)]
+    return ClosedFormTerm(root, m, tuple(coefs))
+
+
 def closed_form(graph: DirectedGraph) -> ClosedForm:
     """Closed form of the total count over the nonzero eigenvalues.
 
@@ -391,24 +475,11 @@ def closed_form(graph: DirectedGraph) -> ClosedForm:
     """
     poly = char_poly(graph)
     z = poly.trailing_zeros
-    d = poly.coefficients
-    t = [0] + [row.total for row in count_series(graph, poly.degree).rows]
-    num = [sum(d[i] * t[n - i] for i in range(n + 1)) for n in range(len(d))]
-    terms = []
-    for root, m in _roots_with_multiplicity(poly):
-        nw = _w_series(num, root, m)
-        dw = _w_series(d, root, 2 * m)[m:]  # D / w^m: D's first m terms vanish
-        a: list[complex] = []  # N / (D / w^m) to m terms, so b_j = a[m - j]
-        for i in range(m):
-            a.append((nw[i] - sum(a[h] * dw[i - h] for h in range(i))) / dw[0])
-        coefs = [0j] * m
-        binom = [1.0]  # C(n+j-1, j-1) in powers of n, low-first
-        for j in range(1, m + 1):
-            for q, c in enumerate(binom):
-                coefs[q] += a[m - j] * c
-            binom = [(lo * j + hi) / j for lo, hi in zip(binom + [0], [0] + binom)]
-        terms.append(ClosedFormTerm(root, m, tuple(coefs)))
-    return ClosedForm(tuple(terms), z + 1, z)
+    num = _numerator(graph, poly)
+    terms = tuple(
+        _term(num, poly.coefficients, root, m) for root, m in _roots_with_multiplicity(poly)
+    )
+    return ClosedForm(terms, z + 1, z)
 
 
 # ---------------------------------------------------------------------------
@@ -422,33 +493,104 @@ class GrowthClass:
     poly_degree: int
 
 
-def classify_growth(
-    source: DirectedGraph | ClosedForm,
-    coeff_tol: float = COEFF_TOL,
-    root_tol: float = ROOT_TOL,
-) -> GrowthClass:
+def classify_growth(source: DirectedGraph | ClosedForm) -> GrowthClass:
     """Growth trichotomy of the count sequence.
 
-    Terms whose coefficient modulus is below coeff_tol (relative to the
-    largest coefficient) do not participate: rho is the largest surviving
-    root modulus and the polynomial degree is the largest power attached
-    to a root of that modulus.
+    For a graph the class is read exactly from the condensation, the DAG
+    of strongly connected components, by the index theorem for
+    nonnegative matrices (Rothblum, "Algebraic eigenspaces of nonnegative
+    matrices", 1975; Lind & Marcus, Symbolic Dynamics and Coding, ch. 4):
+    rho is the largest component spectral radius, and the polynomial
+    degree is the largest number of radius-rho components on one chain,
+    minus 1.  A component has radius 0 when it is one vertex without a
+    loop, radius 1 when it is one simple cycle, and a larger radius
+    otherwise.  Components of radius above 1 are compared by their exact
+    Perron roots.  The class needs no counts, closed form or float; a rho
+    above 1 is reported as the largest root modulus of the memoized root
+    table, and only where several roots share that modulus does it read
+    their residues (see _reported_rho).
+
+    For a closed form, terms whose coefficient modulus is below COEFF_TOL
+    (relative to the largest coefficient) do not participate: rho is the
+    largest surviving root modulus and the polynomial degree is the
+    largest power attached to a root of that modulus, within ROOT_TOL.
     """
-    form = source if isinstance(source, ClosedForm) else closed_form(source)
+    if isinstance(source, ClosedForm):
+        return _classify_terms(source.terms)
+    graph = source
+    succ = graph._succ
+    comps = strongly_connected_components(graph)
+    # every vertex of a component of two or more has a successor inside,
+    # so one inside edge per vertex means one simple cycle; 2 stands for
+    # every radius above 1
+    radii = []
+    for comp in comps:
+        inside = set(comp)
+        edges = sum(j in inside for i in comp for j in succ[i])
+        radii.append(0 if edges == 0 else 1 if edges == len(comp) else 2)
+    top_radius = max(radii)
+    if top_radius == 0:
+        return GrowthClass(POLYNOMIAL, 0.0, 0)
+    top = [r == top_radius for r in radii]
+    if top_radius == 2 and top.count(True) > 1:
+        # each component's Perron root is the largest real root of its polynomial
+        ids = [c for c, t in enumerate(top) if t]
+        winners = {ids[i] for i in _top_owners(tuple(_component_poly(succ, comps[c]) for c in ids))}
+        top = [c in winners for c in range(len(comps))]
+    # comps come successors first, so each chain extends chains already known
+    owner = [0] * graph.k
+    for c, comp in enumerate(comps):
+        for v in comp:
+            owner[v] = c
+    chain: list[int] = []
+    for c, comp in enumerate(comps):
+        below = max((chain[owner[j]] for i in comp for j in succ[i] if owner[j] != c), default=0)
+        chain.append(top[c] + below)
+    degree = max(chain) - 1
+    if top_radius == 1:
+        return GrowthClass(POLYNOMIAL, 1.0, degree)
+    return GrowthClass(MIXED if degree else EXPONENTIAL, _reported_rho(graph), degree)
+
+
+def _component_poly(succ: tuple[tuple[int, ...], ...], comp: tuple[int, ...]) -> Poly:
+    """Characteristic polynomial of the subgraph on one component."""
+    pos = {v: i for i, v in enumerate(comp)}
+    sub = tuple(tuple(pos[j] for j in succ[v] if j in pos) for v in comp)
+    return tuple(Fraction(c) for c in _berkowitz(sub).coefficients)
+
+
+def _reported_rho(graph: DirectedGraph) -> float:
+    """Largest root modulus, as the closed form's classification reports it.
+
+    Where several roots share the top modulus, only those whose closed-
+    form coefficient survives count, so the residues at those roots alone
+    are read.  This picks a reported value, not the class.
+    """
+    poly = char_poly(graph)
+    table = _roots_with_multiplicity(poly)
+    peak = abs(table[0][0])
+    shared = [(r, m) for r, m in table if peak - abs(r) <= ROOT_TOL]
+    if len(shared) == 1:
+        return peak
+    num = _numerator(graph, poly)
+    return _classify_terms(tuple(_term(num, poly.coefficients, r, m) for r, m in shared)).rho
+
+
+def _classify_terms(terms: tuple[ClosedFormTerm, ...]) -> GrowthClass:
     entries = [
         (term.root, q, c)
-        for term in form.terms
+        for term in terms
         for q, c in enumerate(term.coefficients)
     ]
     max_coeff = max((abs(c) for _, _, c in entries), default=0.0)
     if max_coeff == 0.0:
         return GrowthClass(POLYNOMIAL, 0.0, 0)
-    surviving = [(root, q) for root, q, c in entries if abs(c) > coeff_tol * max_coeff]
+    surviving = [(root, q) for root, q, c in entries if abs(c) > COEFF_TOL * max_coeff]
     if not surviving:
         return GrowthClass(POLYNOMIAL, 0.0, 0)
     rho = max(abs(root) for root, _ in surviving)
-    degree = max(q for root, q in surviving if abs(abs(root) - rho) <= root_tol)
-    if abs(rho - 1.0) <= root_tol:
+    degree = max(q for root, q in surviving if abs(abs(root) - rho) <= ROOT_TOL)
+    if abs(rho - 1.0) <= ROOT_TOL:
         rho = 1.0  # snap the unit root so polynomial growth reports rho <= 1
     if rho > 1.0:
         kind = EXPONENTIAL if degree == 0 else MIXED

@@ -118,7 +118,9 @@ class TestAnalyze:
         }
         form_rows = tables["analyze_closed_form"].strip().split("\n")[1:]
         assert [row.split(",")[2:4] for row in form_rows] == [["12", str(q)] for q in range(12)]
-        assert tables["analyze_growth"].split("\n")[1].startswith("polynomial,1.0,")
+        # counts are a degree-11 polynomial in n; the float rule read 10,
+        # because the n^11 coefficient 1/11! falls below COEFF_TOL
+        assert tables["analyze_growth"].split("\n")[1].startswith("polynomial,1.0,11,")
 
     def test_json_format_big_ints_as_strings(self, tmp_path, graph_files):
         out = tmp_path / "out"

@@ -15,6 +15,7 @@ from symgraph import (
     graph_from_bitmask,
     linear_graph,
     parse_graph,
+    strongly_connected_components,
     two_cycle_graph,
     validate,
 )
@@ -121,6 +122,31 @@ class TestValidate:
                 for sym in d.absorbing_states:
                     i = g.alphabet.index(sym)
                     assert all(g.adjacency[i][j] == 0 for j in range(k) if j != i)
+
+
+class TestComponents:
+    def test_golden_components(self):
+        # X and Z form a cycle with X's loop; Y is reached from both
+        assert strongly_connected_components(golden_graph()) == ((1,), (0, 2))
+
+    def test_mutual_reachability_and_order_k_le_3(self):
+        # oracle: reachability closed by repeated unions of successor sets
+        for k in (1, 2, 3):
+            for mask in iter_connected_bitmasks(k):
+                g = graph_from_bitmask(k, mask)
+                reach = [{i} | set(g.successors(i)) for i in range(k)]
+                for _ in range(k):
+                    reach = [set().union(*(reach[j] for j in r)) for r in reach]
+                comps = strongly_connected_components(g)
+                index = {v: c for c, comp in enumerate(comps) for v in comp}
+                assert sorted(index) == list(range(k))
+                assert all(list(comp) == sorted(comp) for comp in comps)
+                for u in range(k):
+                    for v in range(k):
+                        mutual = v in reach[u] and u in reach[v]
+                        assert mutual == (index[u] == index[v])
+                        if v in reach[u] and not mutual:
+                            assert index[v] < index[u]  # successors first
 
 
 class TestHigherOrder:

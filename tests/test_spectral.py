@@ -23,12 +23,14 @@ from symgraph import (
     golden_graph,
     graph_from_bitmask,
     graph_from_edges,
+    GrowthClass,
     iter_connected_bitmasks,
     linear_graph,
+    strongly_connected_components,
     two_cycle_graph,
     verify_recurrence,
 )
-from symgraph import spectral
+from symgraph import census, spectral
 from symgraph.intmat import mat_pow, mat_total
 from symgraph.spectral import CharPoly, RecurrenceFailure, RecurrenceReport, _squarefree_factors
 from fractions import Fraction
@@ -43,6 +45,12 @@ def dense_or_sparse_matrices(draw, k_max):
     density = draw(st.floats(0, 1))
     cells = draw(st.lists(st.floats(0, 1, exclude_max=True), min_size=k * k, max_size=k * k))
     return tuple(tuple(int(u < density) for u in cells[i * k:(i + 1) * k]) for i in range(k))
+
+
+def loop_chain_graph(k):
+    """k looped vertices in a path: chi = (x-1)^k, counts a degree k-1 polynomial."""
+    syms = [f"v{i}" for i in range(k)]
+    return graph_from_edges(syms, [(s, s) for s in syms] + list(zip(syms, syms[1:])))
 
 
 def chain_witness_graph():
@@ -312,8 +320,7 @@ class TestClosedForm:
     def test_chain_of_loops_matches_sympy_interpolation(self, k):
         # (x-1)^k: one term, root 1 with multiplicity k, whose coefficients
         # are those of the degree k-1 polynomial through the exact counts
-        syms = [f"v{i}" for i in range(k)]
-        g = graph_from_edges(syms, [(s, s) for s in syms] + list(zip(syms, syms[1:])))
+        g = loop_chain_graph(k)
         form = closed_form(g)
         assert [(t.root, t.multiplicity) for t in form.terms] == [(1, k)]
         n = sympy.Symbol("n")
@@ -386,6 +393,91 @@ class TestClassify:
                 assert got.kind == base.kind
                 assert abs(got.rho - base.rho) < 1e-9
                 assert got.poly_degree == base.poly_degree
+
+
+class TestStructuralClass:
+    """classify_growth(graph) reads the class from the condensation DAG."""
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_chain_of_loops_degree(self, k):
+        assert classify_growth(loop_chain_graph(k)) == GrowthClass(POLYNOMIAL, 1.0, k - 1)
+
+    def test_float_rule_drops_the_top_power_of_twelve_loops(self):
+        # the n^11 coefficient of the chain of 12 loops is 1/11! ~ 2.5e-8
+        # of the largest, below COEFF_TOL, so the closed form's rule reads
+        # degree 10; the exact counts fit a degree-11 polynomial only
+        g = loop_chain_graph(12)
+        assert classify_growth(closed_form(g)).poly_degree == 10
+        n = sympy.Symbol("n")
+        points = [(row.n, row.total) for row in count_series(g, 14).rows]
+        assert sympy.degree(sympy.interpolate(points, n), n) == 11
+
+    @settings(max_examples=200, deadline=None)
+    @given(adj=dense_or_sparse_matrices(8))
+    @example(adj=((0, 1, 1, 0), (1, 0, 0, 1), (1, 0, 0, 1), (0, 1, 1, 0)))  # roots +-2, t(n) = 2^(n+1)
+    @example(adj=((0, 1, 1), (1, 0, 0), (1, 0, 0)))  # roots +-sqrt(2), both in t(n)
+    @example(adj=((1, 1, 1, 0), (1, 0, 0, 0), (0, 0, 1, 1), (0, 0, 1, 0)))  # two golden blocks
+    def test_agrees_with_closed_form_rule(self, adj):
+        # the float rule on the closed form is an independent route; its one
+        # known failure, the chain of 12 loops (see above), lies beyond k = 8
+        g = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(len(adj)))), adj)
+        got = classify_growth(g)
+        want = classify_growth(closed_form(g))
+        assert (got.kind, got.poly_degree) == (want.kind, want.poly_degree)
+        assert got.rho == want.rho
+
+    def test_exact_tie_between_different_polynomials(self):
+        # a golden block feeding its own edge graph: both have Perron root
+        # mu, from x^2 - x - 1 and x^3 - x^2 - x, so mu is counted twice
+        g = graph_from_edges(
+            ("a", "b", "aa", "ab", "ba"),
+            [("a", "a"), ("a", "b"), ("b", "a"), ("b", "aa"),
+             ("aa", "aa"), ("aa", "ab"), ("ab", "ba"), ("ba", "aa"), ("ba", "ab")],
+        )
+        comps = strongly_connected_components(g)
+        assert comps == ((2, 3, 4), (0, 1))
+        polys = [spectral._component_poly(g._succ, c) for c in comps]
+        assert polys[0] != polys[1]
+        assert spectral._top_owners(tuple(polys)) == (0, 1)
+        growth = classify_growth(g)
+        assert (growth.kind, growth.poly_degree) == (MIXED, 1)
+        assert abs(growth.rho - MU) < 1e-12
+        # oracle: t(n) / mu^n = a*n + b + o(1) with a > 0, so its steps settle
+        totals = {r.n: r.total for r in count_series(g, 201).rows}
+        steps = [totals[n + 1] / MU ** (n + 1) - totals[n] / MU ** n for n in (100, 200)]
+        assert steps[0] > 0.1
+        assert abs(steps[1] - steps[0]) < 1e-9
+
+    def test_near_tie_is_told_apart(self):
+        # the largest roots differ by about 4.5e-13, far inside ROOT_TOL;
+        # sympy's exact real roots say which is larger
+        p = (1, -1, -1)
+        q = (10**12, -10**12, -(10**12 + 1))
+        x = sympy.Symbol("x")
+        rp, rq = (max(sympy.real_roots(sympy.Poly(c, x))) for c in (p, q))
+        assert rp < rq
+        assert 0 < float(rq - rp) < 1e-12
+        fp, fq = (tuple(map(Fraction, c)) for c in (p, q))
+        assert spectral._top_owners((fp, fq)) == (1,)
+        assert spectral._top_owners((fq, fp)) == (0,)
+        assert spectral._top_owners((fp, fq, fp)) == (1,)
+
+    def test_runs_no_count_series_and_no_residues(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the structural class must not compute counts or residues")
+
+        monkeypatch.setattr(census, "count_series", forbidden)
+        monkeypatch.setattr(spectral, "count_series", forbidden)
+        monkeypatch.setattr(spectral, "closed_form", forbidden)
+        monkeypatch.setattr(spectral, "_w_series", forbidden)
+        golden = classify_growth(golden_graph())
+        assert (golden.kind, golden.poly_degree) == (EXPONENTIAL, 0)
+        assert abs(golden.rho - MU) < 1e-12
+        assert classify_growth(linear_graph()) == GrowthClass(POLYNOMIAL, 1.0, 1)
+        witness = classify_growth(chain_witness_graph())
+        assert (witness.kind, witness.poly_degree) == (MIXED, 1)
+        assert abs(witness.rho - 2.0) < 1e-12
+        assert classify_growth(loop_chain_graph(12)) == GrowthClass(POLYNOMIAL, 1.0, 11)
 
 
 class TestScan:
