@@ -44,7 +44,7 @@ from .combine import (
     find_inadmissible_subword,
     parse_schedule,
 )
-from .entropy import entropy_series, fit_scaling, topological_entropy_estimate
+from .entropy import EntropySeries, entropy_series, fit_scaling, topological_entropy_estimate
 from .graphs import DirectedGraph, GraphSpecError, parse_graph, validate
 from .presets import (
     COMPLETE_LINEAR,
@@ -180,6 +180,30 @@ def _bound_tables(prefix: str, preset: str, bounds: list[BoundReport]) -> list[T
     ]
 
 
+def _witness_table(name: str, system: CombinedSystem, n_max: int, cap: int | None = None) -> Table:
+    """The first word up to n_max with an inadmissible subword, if any."""
+    witness = find_inadmissible_subword(system, n_max, cap=cap)
+    row = ["false", "", "", ""]
+    if witness is not None:
+        row = ["true", format_word(system.alphabet, witness.word),
+               format_word(system.alphabet, witness.subword), str(witness.start)]
+    return Table(name, ["found", "word", "subword", "start"], [row])
+
+
+def _entropy_table(name: str, series: EntropySeries) -> Table:
+    return Table(
+        name,
+        ["n", "count", "H", "h_top"],
+        [[str(p.n), str(p.count), _fmt_float(p.H), _fmt_float(p.h_top)] for p in series.points],
+    )
+
+
+def _milestone_samples(system: CombinedSystem, t_max: int) -> list[tuple[int, int]]:
+    """((t+1)**4, exact count) for t = 1..t_max, within the schedule's horizon."""
+    milestones = ((t + 1) ** 4 for t in range(1, t_max + 1))
+    return [(n, combined_count(system, n)) for n in milestones if n <= system.schedule.horizon]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -240,11 +264,7 @@ def cmd_analyze(args: argparse.Namespace) -> ExperimentOutput:
          for r in series.rows],
     ))
 
-    out.tables.append(Table(
-        "analyze_entropy",
-        ["n", "count", "H", "h_top"],
-        [[str(p.n), str(p.count), _fmt_float(p.H), _fmt_float(p.h_top)] for p in ent.points],
-    ))
+    out.tables.append(_entropy_table("analyze_entropy", ent))
 
     if args.n_max > graph.k:
         rec = verify_recurrence(graph, args.n_max)
@@ -263,6 +283,8 @@ def cmd_analyze(args: argparse.Namespace) -> ExperimentOutput:
 
 
 def cmd_combine(args: argparse.Namespace) -> ExperimentOutput:
+    if args.schedule is None:
+        raise GraphSpecError("combine needs --schedule")
     if len(args.graph) < 2:
         raise GraphSpecError("combine needs at least two --graph files")
     graphs = tuple(_load_graph(p) for p in args.graph)
@@ -284,16 +306,7 @@ def cmd_combine(args: argparse.Namespace) -> ExperimentOutput:
         bound_failed = any(not b.holds for b in bounds)
 
     witness_n = min(args.n_max, 10, schedule.horizon)
-    witness = find_inadmissible_subword(system, witness_n, cap=args.enum_cap)
-    alphabet = system.alphabet
-    if witness is None:
-        row = ["false", "", "", ""]
-    else:
-        row = ["true", format_word(alphabet, witness.word),
-               format_word(alphabet, witness.subword), str(witness.start)]
-    out.tables.append(Table(
-        "combine_witness", ["found", "word", "subword", "start"], [row]
-    ))
+    out.tables.append(_witness_table("combine_witness", system, witness_n, args.enum_cap))
 
     if args.strict and bound_failed:
         out.manifest["strict_bound_failure"] = True
@@ -301,8 +314,6 @@ def cmd_combine(args: argparse.Namespace) -> ExperimentOutput:
 
 
 def cmd_scan(args: argparse.Namespace) -> ExperimentOutput:
-    if not 1 <= args.k_max <= 4:
-        raise GraphSpecError("--k-max must be between 1 and 4")
     report = conjecture_scan(args.k_max)
     out = ExperimentOutput(_manifest(args))
     out.tables.append(Table(
@@ -334,30 +345,19 @@ def cmd_entropy_fit(args: argparse.Namespace) -> ExperimentOutput:
             raise GraphSpecError("entropy-fit over several graphs needs --schedule")
         graphs = tuple(_load_graph(p) for p in args.graph)
         schedule = _load_schedule(args.schedule, (args.t_max + 1) ** 4)
-        system = CombinedSystem(graphs, schedule)
-        samples = []
-        for t in range(1, args.t_max + 1):
-            n = (t + 1) ** 4
-            if n > schedule.horizon:
-                break
-            samples.append((n, combined_count(system, n)))
-        series = entropy_series(samples)
+        series = entropy_series(_milestone_samples(CombinedSystem(graphs, schedule), args.t_max))
     else:
         raise GraphSpecError("entropy-fit needs at least one --graph")
     out = ExperimentOutput(_manifest(args))
-    out.tables.append(Table(
-        "entropy_series",
-        ["n", "count", "H", "h_top"],
-        [[str(p.n), str(p.count), _fmt_float(p.H), _fmt_float(p.h_top)] for p in series.points],
-    ))
+    out.tables.append(_entropy_table("entropy_series", series))
     fit = fit_scaling(series)
     res = dict(fit.residuals)
     out.tables.append(Table(
         "entropy_fit",
-        ["model", "h", "g", "mu", "nu", "e", "residual",
+        ["model", "h", "g", "mu", "e", "residual",
          "rms_linear", "rms_power", "rms_logarithmic", "n_lo", "n_hi"],
         [[fit.model, _fmt_float(fit.h), _fmt_float(fit.g), _fmt_float(fit.mu),
-          _fmt_float(fit.nu), _fmt_float(fit.e), _fmt_float(fit.residual),
+          _fmt_float(fit.e), _fmt_float(fit.residual),
           _fmt_float(res["linear"]), _fmt_float(res["power"]), _fmt_float(res["logarithmic"]),
           str(fit.n_range[0]), str(fit.n_range[1])]],
     ))
@@ -367,26 +367,15 @@ def cmd_entropy_fit(args: argparse.Namespace) -> ExperimentOutput:
 
 def cmd_paper_examples(args: argparse.Namespace) -> ExperimentOutput:
     out = ExperimentOutput(_manifest(args))
-    t_golden = args.t_max if args.t_max else 6
-    t_complete = args.t_max if args.t_max else 8
     bound_failed = False
-    for name, t_hi in ((GOLDEN_LINEAR, t_golden), (COMPLETE_LINEAR, t_complete)):
-        bounds = preset_bounds(name, t_hi)
+    for name, t_default in ((GOLDEN_LINEAR, 6), (COMPLETE_LINEAR, 8)):
+        bounds = preset_bounds(name, args.t_max or t_default)
         bound_failed = bound_failed or any(not b.holds for b in bounds)
         out.tables += _bound_tables(name.replace("-", "_"), name, bounds)
 
-    witness = find_inadmissible_subword(golden_linear_system(1), 5)
-    alphabet = golden_linear_system(1).alphabet
-    row = (["true", format_word(alphabet, witness.word),
-            format_word(alphabet, witness.subword), str(witness.start)]
-           if witness else ["false", "", "", ""])
-    out.tables.append(Table(
-        "golden_linear_witness", ["found", "word", "subword", "start"], [row]
-    ))
+    out.tables.append(_witness_table("golden_linear_witness", golden_linear_system(1), 5))
 
-    system = complete_linear_system(12)
-    samples = [((t + 1) ** 4, combined_count(system, (t + 1) ** 4)) for t in range(1, 13)]
-    fit = fit_scaling(entropy_series(samples))
+    fit = fit_scaling(entropy_series(_milestone_samples(complete_linear_system(12), 12)))
     res = dict(fit.residuals)
     out.tables.append(Table(
         "complete_linear_scaling",
@@ -406,64 +395,49 @@ def cmd_paper_examples(args: argparse.Namespace) -> ExperimentOutput:
 # parser / entry point
 
 
+# name, handler, help, the options its handler reads, parser defaults
+_COMMANDS = (
+    ("analyze", cmd_analyze, "single-graph analysis",
+     ("--graph", "--n-max", "--enumerate", "--enum-cap"), {}),
+    ("combine", cmd_combine, "scheduled combination analysis",
+     ("--graph", "--schedule", "--n-max", "--t-max", "--strict", "--enum-cap"), {"t_max": 6}),
+    ("scan", cmd_scan, "exhaustive small-digraph classification", ("--k-max",), {}),
+    ("entropy-fit", cmd_entropy_fit, "entropy series and scaling fit",
+     ("--graph", "--schedule", "--n-max", "--t-max"), {"t_max": 12}),
+    ("paper-examples", cmd_paper_examples, "bundled reference experiments",
+     ("--t-max", "--strict"), {}),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="symgraph",
         description="exact word census and growth analysis for graph symbolic dynamics",
     )
+    options = {
+        "--graph": dict(action="append", default=[], help="graph-spec JSON file (repeatable)"),
+        "--schedule": dict(default=None, help='schedule: "paper" or a JSON schedule file'),
+        "--n-max": dict(type=int, default=30),
+        "--t-max": dict(type=int, default=0),
+        "--k-max": dict(type=int, default=3),
+        "--strict": dict(action="store_true", help="nonzero exit when a bound report fails"),
+        "--enumerate": dict(action="store_true", help="also list words up to n-max"),
+        "--enum-cap": dict(type=int, default=None,
+                           help=f"word-enumeration cap (default {enumeration_cap()})"),
+        "--out": dict(default="symgraph-out", help="output directory"),
+        "--format": dict(choices=("csv", "json"), default="csv"),
+    }
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, graphs=False, schedule=False) -> None:
-        if graphs:
-            p.add_argument("--graph", action="append", default=[],
-                           help="graph-spec JSON file (repeatable)")
-        if schedule:
-            p.add_argument("--schedule", default=None,
-                           help='schedule: "paper" or a JSON schedule file')
-        p.add_argument("--n-max", type=int, default=30)
-        p.add_argument("--t-max", type=int, default=0)
-        p.add_argument("--out", default="symgraph-out", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--strict", action="store_true",
-                       help="nonzero exit when a bound report fails")
-        p.add_argument("--enum-cap", type=int, default=None,
-                       help=f"word-enumeration cap (default {enumeration_cap()})")
-
-    p = sub.add_parser("analyze", help="single-graph analysis")
-    common(p, graphs=True)
-    p.add_argument("--enumerate", action="store_true", help="also list words up to n-max")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("combine", help="scheduled combination analysis")
-    common(p, graphs=True, schedule=True)
-    p.set_defaults(func=cmd_combine)
-
-    p = sub.add_parser("scan", help="exhaustive small-digraph classification")
-    common(p)
-    p.add_argument("--k-max", type=int, default=3)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("entropy-fit", help="entropy series and scaling fit")
-    common(p, graphs=True, schedule=True)
-    p.set_defaults(func=cmd_entropy_fit)
-
-    p = sub.add_parser("paper-examples", help="bundled reference experiments")
-    common(p)
-    p.set_defaults(func=cmd_paper_examples)
-
+    for name, func, help_text, reads, defaults in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for option in reads + ("--out", "--format"):
+            p.add_argument(option, **options[option])
+        p.set_defaults(func=func, **defaults)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "combine" and args.t_max == 0:
-        args.t_max = 6
-    if args.command == "entropy-fit" and args.t_max == 0:
-        args.t_max = 12
-    if args.command == "combine" and args.schedule is None:
-        print("error: combine needs --schedule", file=sys.stderr)
-        return EXIT_ERROR
+    args = build_parser().parse_args(argv)
     try:
         output = args.func(args)
     except (GraphSpecError, EnumerationCapError, ScheduleExhaustedError, ValueError) as exc:

@@ -87,7 +87,8 @@ def parse_schedule(text: str) -> Schedule:
     if not isinstance(doc, dict) or ("g" in doc) == ("s" in doc):
         raise ValueError('schedule document needs exactly one of "g" or "s"')
     values = doc.get("g", doc.get("s"))
-    if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+    # JSON true and false load as bool, a subclass of int
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
         raise ValueError("schedule values must be a list of integers")
     if "g" in doc:
         g = values if values and values[0] == 0 else [0] + values

@@ -85,7 +85,6 @@ class ScalingFit:
     h: float
     g: float
     mu: float
-    nu: float
     e: float
     residual: float
     residuals: tuple[tuple[str, float], ...]  # all candidates, fixed order
@@ -99,7 +98,6 @@ class ScalingFit:
             f"h = {self.h!r}",
             f"g = {self.g!r}",
             f"mu = {self.mu!r}",
-            f"nu = {self.nu!r}",
             f"e = {self.e!r}",
             "candidate residuals (rms):",
         ]
@@ -162,7 +160,7 @@ def fit_scaling(series: EntropySeries, mu_tol: float = 1e-6) -> ScalingFit:
     if float(np.ptp(hs)) == 0.0:
         flat = hs[0]
         residuals = tuple((name, 0.0) for name in _MODEL_ORDER)
-        return ScalingFit(LINEAR, 0.0, 0.0, 0.0, 0.0, float(flat), 0.0, residuals, n_range)
+        return ScalingFit(LINEAR, 0.0, 0.0, 0.0, float(flat), 0.0, residuals, n_range)
 
     design = np.column_stack([ns, np.ones_like(ns)])
     (h_lin, e_lin), rms_lin = _lstsq_rms(design, hs)
@@ -176,12 +174,11 @@ def fit_scaling(series: EntropySeries, mu_tol: float = 1e-6) -> ScalingFit:
     (g_log, e_log), rms_log = _lstsq_rms(design, hs)
 
     candidates = {
-        LINEAR: (rms_lin, dict(h=float(h_lin), g=0.0, mu=0.0, nu=0.0, e=float(e_lin))),
-        POWER: (rms_pow, dict(h=0.0, g=g_pow, mu=float(mu), nu=0.0, e=e_pow)),
-        LOGARITHMIC: (rms_log, dict(h=0.0, g=float(g_log), mu=0.0, nu=0.0, e=float(e_log))),
+        LINEAR: (rms_lin, dict(h=float(h_lin), g=0.0, mu=0.0, e=float(e_lin))),
+        POWER: (rms_pow, dict(h=0.0, g=g_pow, mu=float(mu), e=e_pow)),
+        LOGARITHMIC: (rms_log, dict(h=0.0, g=float(g_log), mu=0.0, e=float(e_log))),
     }
     best = min(_MODEL_ORDER, key=lambda name: (candidates[name][0], _MODEL_ORDER.index(name)))
     rms, params = candidates[best]
     residuals = tuple((name, candidates[name][0]) for name in _MODEL_ORDER)
-    return ScalingFit(best, params["h"], params["g"], params["mu"], params["nu"],
-                      params["e"], rms, residuals, n_range)
+    return ScalingFit(best, residual=rms, residuals=residuals, n_range=n_range, **params)

@@ -209,22 +209,14 @@ def match_preset(system: CombinedSystem) -> str | None:
     The graphs must match exactly and the schedule must be a prefix of
     the quartic schedule with at least one full stint pair.
     """
-    pairs = {
-        GOLDEN_LINEAR: (golden_graph(), linear_graph()),
-        COMPLETE_LINEAR: (complete_graph(), linear_graph()),
-    }
     stints = system.schedule.stints
     if len(stints) < 2:
         return None
     expected = tuple(quartic_stint(t) for t in range(1, len(stints) + 1))
     if stints != expected:
         return None
-    for name, (first, second) in pairs.items():
-        if (
-            len(system.graphs) == 2
-            and system.graphs[0].alphabet.symbols == first.alphabet.symbols
-            and system.graphs[0].adjacency == first.adjacency
-            and system.graphs[1].adjacency == second.adjacency
-        ):
+    graphs = [(g.alphabet.symbols, g.adjacency) for g in system.graphs]
+    for name, (make_system, _) in _PRESETS.items():
+        if graphs == [(g.alphabet.symbols, g.adjacency) for g in make_system(1).graphs]:
             return name
     return None

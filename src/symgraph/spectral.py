@@ -196,29 +196,28 @@ def verify_recurrence(graph: DirectedGraph, n_max: int) -> RecurrenceReport:
     # (i, j) of a product with M sums entries (i, l) over the
     # predecessors l of j
     steps = [[i * k + l for l in graph._pred[j]] for i in range(k) for j in range(k)]
+
+    def times_m(flat: list[int]) -> list[int]:
+        return [sum(map(flat.__getitem__, idx)) for idx in steps]
+
     identity_flat = [int(i == j) for i in range(k) for j in range(k)]
     acc = identity_flat
     for c in poly.coefficients[1:]:
-        acc = [sum(map(acc.__getitem__, idx)) for idx in steps]
+        acc = times_m(acc)
         if c:
             for d in range(0, k * k, k + 1):
                 acc[d] += c
     if not any(acc):
         return RecurrenceReport(True, n_max, ())
-    # (r, c_r) for r < k; the leading c_k = 1 multiplies M^(n-1) itself
-    terms = [(k - 1 - d, c) for d, c in enumerate(poly.coefficients[1:]) if c]
-    mats = [None, identity_flat]
-    for _ in range(2, n_max + 1):
-        prev = mats[-1]
-        mats.append([sum(map(prev.__getitem__, idx)) for idx in steps])
+    # at n the residual is M^(n-1-k) times the polynomial at M, and the
+    # actual counts are M^(n-1); both advance by one product with M per n
+    residual, got_all = acc, identity_flat
+    for _ in range(k):
+        got_all = times_m(got_all)
     failures: list[RecurrenceFailure] = []
     for n in range(k + 1, n_max + 1):
-        got_all = mats[n]
-        residual = got_all
-        for r, c in terms:
-            residual = [x + c * y for x, y in zip(residual, mats[n - k + r])]
-        if not any(residual):
-            continue
+        if n > k + 1:
+            residual, got_all = times_m(residual), times_m(got_all)
         # the recurrence predicts got - residual
         for pos, d in enumerate(residual):
             if d:

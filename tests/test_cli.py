@@ -1,9 +1,11 @@
+import argparse
+import hashlib
 import json
 
 import pytest
 
 from symgraph import graph_to_json, golden_graph, linear_graph, complete_graph, spectral
-from symgraph.cli import main
+from symgraph.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -192,6 +194,24 @@ class TestCombine:
         bounds = read_tables(out)["combine_bounds"].strip().split("\n")
         assert bounds[1].split(",")[6] == "91"
 
+    def test_missing_schedule(self, tmp_path, graph_files, capsys):
+        out = tmp_path / "o"
+        assert main([
+            "combine", "--graph", graph_files["golden"], "--graph", graph_files["linear"],
+            "--out", str(out),
+        ]) == 1
+        assert capsys.readouterr().err == "error: combine needs --schedule\n"
+        assert not out.exists()
+
+    def test_boolean_schedule_values_rejected(self, tmp_path, graph_files, capsys):
+        sched = tmp_path / "sched.json"
+        sched.write_text(json.dumps({"s": [True, 3]}))
+        assert main([
+            "combine", "--graph", graph_files["golden"], "--graph", graph_files["linear"],
+            "--schedule", str(sched), "--out", str(tmp_path / "o"),
+        ]) == 1
+        assert "list of integers" in capsys.readouterr().err
+
     def test_schedule_exhausted(self, tmp_path, graph_files):
         sched = tmp_path / "sched.json"
         sched.write_text(json.dumps({"s": [2, 2]}))
@@ -255,6 +275,17 @@ class TestEntropyFit:
         assert 0.45 <= float(fit[3]) <= 0.55
 
 
+    def test_fit_outputs_have_no_nu(self, tmp_path, graph_files):
+        out = tmp_path / "out"
+        assert main([
+            "entropy-fit", "--graph", graph_files["golden"], "--n-max", "20", "--out", str(out),
+        ]) == 0
+        header = (out / "entropy_fit.csv").read_text().split("\n")[0].split(",")
+        assert header == ["model", "h", "g", "mu", "e", "residual", "rms_linear", "rms_power",
+                          "rms_logarithmic", "n_lo", "n_hi"]
+        assert "nu =" not in (out / "entropy_fit_report.txt").read_text()
+
+
 class TestPaperExamples:
     def test_runs_without_inputs(self, tmp_path):
         out = tmp_path / "out"
@@ -277,6 +308,24 @@ class TestPaperExamples:
             if path.name == "manifest.json":
                 continue
             assert path.read_bytes() == (out2 / path.name).read_bytes(), path.name
+
+    PINNED = {
+        "golden_linear_bounds": "5c82193bc468da2bd85b0e30f2cb93224ed7dd75f6bd135e5eb9e05ceb0b9a75",
+        "golden_linear_envelopes": "aec7e26f265c49fcc90fdd223ebf02222687d7d04e4196b4522d1e8ac737ed2b",
+        "complete_linear_bounds": "b1ac6363249bf2e60a8e98df7f9d7444a2a61d4de35d54ad730a32c0bf260184",
+        "complete_linear_envelopes": "8483339dbcc9f7d1015e4cc9bd11860724fe2620a74cb2ad40a9b7303f87e1f4",
+        "golden_linear_witness": "14cad91dee5c263575a68258fb077107fbfa2f6bdbf2c6896f14afcc6cf1e681",
+    }
+
+    def test_exact_tables_pinned(self, tmp_path):
+        # the numpy-fitted complete_linear_scaling table is left out
+        out = tmp_path / "out"
+        assert main(["paper-examples", "--out", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest()
+            for name in self.PINNED
+        }
+        assert digests == self.PINNED
 
 
 class TestStrict:
@@ -334,3 +383,51 @@ class TestManifest:
         for line, row in zip(lines, series.rows):
             cells = line.split(",")
             assert int(cells[0]) == row.n and int(cells[1]) == row.total
+
+
+class TestParser:
+    # each subcommand takes the options its handler reads, plus --out and --format
+    OPTIONS = {
+        "analyze": {"--graph", "--n-max", "--enumerate", "--enum-cap"},
+        "combine": {"--graph", "--schedule", "--n-max", "--t-max", "--strict", "--enum-cap"},
+        "scan": {"--k-max"},
+        "entropy-fit": {"--graph", "--schedule", "--n-max", "--t-max"},
+        "paper-examples": {"--t-max", "--strict"},
+    }
+
+    def subparsers(self):
+        (action,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def options(self, parser):
+        return {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+
+    def test_option_sets(self):
+        subs = self.subparsers()
+        assert set(subs) == set(self.OPTIONS)
+        for name, parser in subs.items():
+            assert self.options(parser) == self.OPTIONS[name] | {"--out", "--format"}, name
+
+    def test_settable_value_count(self):
+        assert sum(len(self.options(parser)) for parser in self.subparsers().values()) == 27
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--n-max", "5"],
+        ["scan", "--strict"],
+        ["analyze", "--t-max", "3"],
+        ["entropy-fit", "--enum-cap", "10"],
+        ["paper-examples", "--n-max", "5"],
+    ])
+    def test_unread_options_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_t_max_defaults(self):
+        parser = build_parser()
+        assert parser.parse_args(["combine"]).t_max == 6
+        assert parser.parse_args(["entropy-fit"]).t_max == 12
+        assert parser.parse_args(["paper-examples"]).t_max == 0
+        assert parser.parse_args(["combine", "--t-max", "9"]).t_max == 9

@@ -151,6 +151,12 @@ class TestSchedule:
         with pytest.raises(ValueError):
             parse_schedule("[4]")
 
+    def test_parse_schedule_rejects_booleans(self):
+        # JSON true and false load as bool, a subclass of int
+        for text in ('{"s": [true, 3]}', '{"g": [false, true, 5]}', '{"s": [4, false]}'):
+            with pytest.raises(ValueError, match="list of integers"):
+                parse_schedule(text)
+
     def test_stint_index_and_exhaustion(self):
         sched = quartic_schedule(1)
         assert sched.stint_index(1) == 1
