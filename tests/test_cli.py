@@ -27,6 +27,12 @@ def read_tables(out_dir, fmt="csv"):
     return tables
 
 
+def sha256_tables(out_dir, names):
+    return {
+        name: hashlib.sha256((out_dir / f"{name}.csv").read_bytes()).hexdigest() for name in names
+    }
+
+
 class TestAnalyze:
     def test_golden_graph(self, tmp_path, graph_files):
         out = tmp_path / "out"
@@ -221,6 +227,22 @@ class TestCombine:
         ]) == 1
 
 
+    PINNED = {
+        "combine_counts": "869e67c07fde2d776fb9cf2f90e7f1b7345cedabba337770fba8e6b481584874",
+        "combine_bounds": "5c82193bc468da2bd85b0e30f2cb93224ed7dd75f6bd135e5eb9e05ceb0b9a75",
+        "combine_envelopes": "aec7e26f265c49fcc90fdd223ebf02222687d7d04e4196b4522d1e8ac737ed2b",
+        "combine_witness": "14cad91dee5c263575a68258fb077107fbfa2f6bdbf2c6896f14afcc6cf1e681",
+    }
+
+    def test_exact_tables_pinned(self, tmp_path, graph_files):
+        out = tmp_path / "out"
+        assert main([
+            "combine", "--graph", graph_files["golden"], "--graph", graph_files["linear"],
+            "--schedule", "paper", "--t-max", "6", "--n-max", "200", "--out", str(out),
+        ]) == 0
+        assert sha256_tables(out, self.PINNED) == self.PINNED
+
+
 class TestScan:
     def test_k1(self, tmp_path):
         out = tmp_path / "out"
@@ -286,6 +308,20 @@ class TestEntropyFit:
         assert "nu =" not in (out / "entropy_fit_report.txt").read_text()
 
 
+    # the numpy-fitted entropy_fit table is left out
+    @pytest.mark.parametrize("names, extra, digest", [
+        (["golden"], ["--n-max", "40"],
+         "a90e22e3aad62257a261ab4f6a915b889f08464c06c2e8070314bb491222c655"),
+        (["complete3", "linear"], ["--schedule", "paper", "--t-max", "12"],
+         "f2fbf042cf34ced2a73c105490b6f8028dbbebb3bb8f4f77b1851e40694fab93"),
+    ])
+    def test_entropy_series_pinned(self, tmp_path, graph_files, names, extra, digest):
+        out = tmp_path / "out"
+        graphs = [arg for name in names for arg in ("--graph", graph_files[name])]
+        assert main(["entropy-fit", *graphs, *extra, "--out", str(out)]) == 0
+        assert sha256_tables(out, ["entropy_series"]) == {"entropy_series": digest}
+
+
 class TestPaperExamples:
     def test_runs_without_inputs(self, tmp_path):
         out = tmp_path / "out"
@@ -321,11 +357,7 @@ class TestPaperExamples:
         # the numpy-fitted complete_linear_scaling table is left out
         out = tmp_path / "out"
         assert main(["paper-examples", "--out", str(out)]) == 0
-        digests = {
-            name: hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest()
-            for name in self.PINNED
-        }
-        assert digests == self.PINNED
+        assert sha256_tables(out, self.PINNED) == self.PINNED
 
 
 class TestStrict:

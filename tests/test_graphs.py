@@ -1,6 +1,8 @@
 import json
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symgraph import (
     Alphabet,
@@ -28,6 +30,20 @@ G2_SPEC = json.dumps({
     "alphabet": ["X", "Y", "Z"],
     "edges": [["X", "Y"], ["Y", "Y"], ["Z", "X"], ["Z", "Y"], ["Z", "Z"]],
 })
+
+
+def bfs_weakly_connected(adj):
+    """Oracle: undirected BFS from vertex 0 reaches every vertex, and none is edgeless."""
+    k = len(adj)
+    nbrs = [{j for j in range(k) if adj[i][j] or adj[j][i]} for i in range(k)]
+    if not all(nbrs):
+        return False
+    seen, queue = {0}, deque([0])
+    while queue:
+        for j in nbrs[queue.popleft()] - seen:
+            seen.add(j)
+            queue.append(j)
+    return len(seen) == k
 
 
 def naive_matmul(a, b):
@@ -111,6 +127,22 @@ class TestValidate:
         g = graph_from_edges(("X",), [])
         assert not validate(g).weakly_connected
         assert validate(graph_from_edges(("X",), [("X", "X")])).weakly_connected
+
+    def test_weakly_connected_matches_bfs_every_mask_k_le_3(self):
+        for k in (1, 2, 3):
+            for mask in range(1 << (k * k)):
+                g = graph_from_bitmask(k, mask)
+                assert validate(g).weakly_connected == bfs_weakly_connected(g.adjacency), (k, mask)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 16).flatmap(
+        lambda k: st.tuples(st.just(k), st.integers(0, (1 << (k * k)) - 1))))
+    def test_weakly_connected_matches_bfs_random(self, k_mask):
+        k, mask = k_mask
+        syms = [f"v{i}" for i in range(k)]
+        adj = tuple(tuple((mask >> (i * k + j)) & 1 for j in range(k)) for i in range(k))
+        g = DirectedGraph(Alphabet(tuple(syms)), adj)
+        assert validate(g).weakly_connected == bfs_weakly_connected(adj)
 
     def test_absorbing_rows_zero_off_diagonal(self):
         # property: every absorbing state's row vanishes off the diagonal
