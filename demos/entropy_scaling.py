@@ -16,7 +16,6 @@ Run:  python demos/entropy_scaling.py
 import math
 
 from symgraph import (
-    combined_count,
     complete_graph,
     complete_linear_system,
     count_series,
@@ -24,6 +23,7 @@ from symgraph import (
     fit_scaling,
     golden_graph,
     linear_graph,
+    milestone_counts,
     topological_entropy_estimate,
 )
 
@@ -58,11 +58,9 @@ def main():
         entropy_series(count_series(linear_graph(), 400)),
     )
 
-    system = complete_linear_system(12)
-    samples = [((t + 1) ** 4, combined_count(system, (t + 1) ** 4)) for t in range(1, 13)]
     fit = fit_and_print(
         "complete+linear combination at milestones n = (t+1)^4, t <= 12",
-        entropy_series(samples),
+        entropy_series(milestone_counts(complete_linear_system(12), 12)),
     )
     print(f"\n  the stretched exponent shows up as mu = {fit.mu:.3f} (about 1/2):")
     print("  H(n) grows like sqrt(n), so the count grows like rho**sqrt(n).")

@@ -53,7 +53,6 @@ from .spectral import (
     ScanReport,
     ScanRow,
     char_poly,
-    charpoly_at_matrix,
     classify_growth,
     closed_form,
     conjecture_scan,
@@ -91,6 +90,7 @@ from .presets import (
     golden_linear_system,
     linear_graph,
     match_preset,
+    milestone_counts,
     preset_bounds,
     quartic_schedule,
     quartic_stint,

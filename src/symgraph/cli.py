@@ -4,10 +4,11 @@ Subcommands
 -----------
 analyze        single-graph census: diagnostics, characteristic polynomial,
                closed form, growth class, counts, entropy, recurrence check
-combine        scheduled multi-graph system: counts, bound reports and
-               envelopes (for the bundled systems), subword witness
+combine        scheduled system of one or more graphs: counts, bound reports
+               and envelopes (for the bundled systems), subword witness
 scan           exhaustive classification of small weakly connected digraphs
-entropy-fit    entropy series and scaling-law fit (single or combined)
+entropy-fit    entropy series and scaling-law fit: one graph to n-max, or
+               with --schedule the milestones of one or more graphs
 paper-examples the two bundled reference experiments, no inputs needed
 
 Every run writes a manifest plus per-command data tables to --out, as CSV
@@ -39,7 +40,6 @@ from .combine import (
     CombinedSystem,
     Schedule,
     ScheduleExhaustedError,
-    combined_count,
     combined_count_series,
     find_inadmissible_subword,
     parse_schedule,
@@ -55,6 +55,7 @@ from .presets import (
     golden_linear_bounds,
     golden_linear_system,
     match_preset,
+    milestone_counts,
     preset_bounds,
     quartic_schedule,
 )
@@ -198,12 +199,6 @@ def _entropy_table(name: str, series: EntropySeries) -> Table:
     )
 
 
-def _milestone_samples(system: CombinedSystem, t_max: int) -> list[tuple[int, int]]:
-    """((t+1)**4, exact count) for t = 1..t_max, within the schedule's horizon."""
-    milestones = ((t + 1) ** 4 for t in range(1, t_max + 1))
-    return [(n, combined_count(system, n)) for n in milestones if n <= system.schedule.horizon]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -285,8 +280,6 @@ def cmd_analyze(args: argparse.Namespace) -> ExperimentOutput:
 def cmd_combine(args: argparse.Namespace) -> ExperimentOutput:
     if args.schedule is None:
         raise GraphSpecError("combine needs --schedule")
-    if len(args.graph) < 2:
-        raise GraphSpecError("combine needs at least two --graph files")
     graphs = tuple(_load_graph(p) for p in args.graph)
     horizon_hint = max(args.n_max, (args.t_max + 1) ** 4)
     schedule = _load_schedule(args.schedule, horizon_hint)
@@ -337,17 +330,16 @@ def cmd_scan(args: argparse.Namespace) -> ExperimentOutput:
 
 
 def cmd_entropy_fit(args: argparse.Namespace) -> ExperimentOutput:
-    if len(args.graph) == 1:
-        graph = _load_graph(args.graph[0])
-        series = entropy_series(count_series(graph, args.n_max))
-    elif len(args.graph) >= 2:
-        if args.schedule is None:
-            raise GraphSpecError("entropy-fit over several graphs needs --schedule")
-        graphs = tuple(_load_graph(p) for p in args.graph)
+    graphs = tuple(_load_graph(p) for p in args.graph)
+    if args.schedule is not None:
         schedule = _load_schedule(args.schedule, (args.t_max + 1) ** 4)
-        series = entropy_series(_milestone_samples(CombinedSystem(graphs, schedule), args.t_max))
+        series = entropy_series(milestone_counts(CombinedSystem(graphs, schedule), args.t_max))
+    elif len(graphs) > 1:
+        raise GraphSpecError("entropy-fit over several graphs needs --schedule")
     else:
-        raise GraphSpecError("entropy-fit needs at least one --graph")
+        # the constant schedule; combined_count_series rejects n_max < 1
+        system = CombinedSystem(graphs, Schedule((0, max(args.n_max, 1))))
+        series = entropy_series(combined_count_series(system, args.n_max))
     out = ExperimentOutput(_manifest(args))
     out.tables.append(_entropy_table("entropy_series", series))
     fit = fit_scaling(series)
@@ -375,7 +367,7 @@ def cmd_paper_examples(args: argparse.Namespace) -> ExperimentOutput:
 
     out.tables.append(_witness_table("golden_linear_witness", golden_linear_system(1), 5))
 
-    fit = fit_scaling(entropy_series(_milestone_samples(complete_linear_system(12), 12)))
+    fit = fit_scaling(entropy_series(milestone_counts(complete_linear_system(12), 12)))
     res = dict(fit.residuals)
     out.tables.append(Table(
         "complete_linear_scaling",

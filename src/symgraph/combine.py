@@ -7,14 +7,15 @@ that the extension producing words of length j is performed by the graph
 whose stint interval contains j.  With that convention the first graph
 contributes exactly s_1 - 1 extension steps (lengths 2..g_1) and every
 later stint contributes its full length, which is what makes the growth
-bounds for the bundled example systems exact.
+bounds for the bundled example systems exact.  A single graph is the
+system of one graph, the constant (autonomous) schedule.
 
 `combined_count` pushes the row vector 1^T through each stint segment,
 vec <- vec * A_m**len, and the system keeps the vector of its last
 count, so milestone counts taken in ascending order cost one pass along
 the schedule in all.
 
-Unlike the single-graph case, a subword of an admissible combined word
+Unlike the words of one graph, a subword of an admissible combined word
 need not be admissible; `find_inadmissible_subword` searches for the
 first such witness, testing the subwords of a whole level at once.
 """
@@ -98,7 +99,10 @@ def parse_schedule(text: str) -> Schedule:
 
 @dataclass(frozen=True)
 class CombinedSystem:
-    """Two or more graphs on one ordered alphabet, driven by a schedule."""
+    """One or more graphs on one ordered alphabet, driven by a schedule.
+
+    One graph performs every extension: its counts and words are its own.
+    """
 
     graphs: tuple[DirectedGraph, ...]
     schedule: Schedule
@@ -108,8 +112,8 @@ class CombinedSystem:
     )
 
     def __post_init__(self) -> None:
-        if len(self.graphs) < 2:
-            raise GraphSpecError("a combined system needs at least two graphs")
+        if not self.graphs:
+            raise GraphSpecError("a combined system needs at least one graph")
         first = self.graphs[0].alphabet.symbols
         for g in self.graphs[1:]:
             if g.alphabet.symbols != first:

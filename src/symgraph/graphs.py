@@ -156,6 +156,10 @@ def parse_graph(text: str) -> DirectedGraph:
     symbols = doc["alphabet"]
     if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
         raise GraphSpecError('"alphabet" must be a list of strings')
+    for sym in symbols:
+        # str.splitlines knows every line break; the padding keeps a trailing one
+        if "," in sym or '"' in sym or len(f".{sym}.".splitlines()) > 1:
+            raise GraphSpecError(f"symbol {sym!r} has a comma, quote or line break")
     edges_raw = doc["edges"]
     if not isinstance(edges_raw, list):
         raise GraphSpecError('"edges" must be a list of [from, to] pairs')
@@ -178,23 +182,6 @@ def graph_to_json(graph: DirectedGraph) -> str:
     if graph.name is not None:
         doc["name"] = graph.name
     return json.dumps(doc, indent=2)
-
-
-def _undirected_components(graph: DirectedGraph) -> int:
-    k = graph.k
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in graph.edges():
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return len({find(i) for i in range(k)})
 
 
 def strongly_connected_components(graph: DirectedGraph) -> tuple[tuple[int, ...], ...]:
@@ -240,8 +227,17 @@ def validate(graph: DirectedGraph) -> GraphDiagnostics:
     possible self-loop.
     """
     k = graph.k
-    isolated = any(not graph._succ[i] and not graph._pred[i] for i in range(k))
-    weakly = not isolated and _undirected_components(graph) == 1
+    # undirected neighbours as vertex bitmasks; an empty mask is an isolated vertex
+    nbrs = [sum(1 << j for j in s) | sum(1 << j for j in p)
+            for s, p in zip(graph._succ, graph._pred)]
+    # flood fill from vertex 0 until the reached set stops growing
+    seen, reach = 0, 1
+    while reach != seen:
+        seen = reach
+        for i, mask in enumerate(nbrs):
+            if seen >> i & 1:
+                reach |= mask
+    weakly = all(nbrs) and seen == (1 << k) - 1
     strongly = len(strongly_connected_components(graph)) == 1
     absorbing = tuple(
         graph.alphabet.symbols[i]

@@ -75,6 +75,15 @@ def quartic_schedule(t_max: int) -> Schedule:
     return Schedule.from_stints([quartic_stint(t) for t in range(1, 2 * t_max + 1)])
 
 
+def milestone_counts(system: CombinedSystem, t_max: int) -> list[tuple[int, int]]:
+    """((t+1)**4, exact count) for t = 1..t_max, within the schedule's horizon.
+
+    The milestones ascend, so each count resumes from the previous one.
+    """
+    milestones = ((t + 1) ** 4 for t in range(1, t_max + 1))
+    return [(n, combined_count(system, n)) for n in milestones if n <= system.schedule.horizon]
+
+
 def golden_linear_system(t_max: int) -> CombinedSystem:
     return CombinedSystem((golden_graph(), linear_graph()), quartic_schedule(t_max))
 
@@ -133,22 +142,16 @@ _PRESETS = {
 
 
 def preset_bounds(name: str, t_max: int) -> list[BoundReport]:
-    """Exact bound sandwiches of a bundled system for t = 1..t_max.
-
-    Every milestone count (t+1)**4 comes from one system, so each count
-    resumes where the previous one stopped.
-    """
+    """Exact bound sandwiches of a bundled system at its milestones t = 1..t_max."""
     if name not in _PRESETS:
         raise ValueError(f"unknown system {name!r}")
     if t_max < 1:
         return []
     make_system, sandwich = _PRESETS[name]
-    system = make_system(t_max)
     reports = []
-    for t in range(1, t_max + 1):
-        n = (t + 1) ** 4
+    for t, (n, count) in enumerate(milestone_counts(make_system(t_max), t_max), start=1):
         lower, upper = sandwich(t)
-        reports.append(BoundReport(t, n, lower, combined_count(system, n), upper))
+        reports.append(BoundReport(t, n, lower, count, upper))
     return reports
 
 

@@ -36,7 +36,6 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import Alphabet, DirectedGraph, strongly_connected_components, validate
-from .intmat import IntMatrix, identity, mat_mul
 from .census import count_series
 
 ROOT_TOL = 1e-7     # float distance at which two roots or moduli count as equal
@@ -142,19 +141,6 @@ def _berkowitz(succ: tuple[tuple[int, ...], ...]) -> CharPoly:
                         nv[j + t] += d * c
         v = nv
     return CharPoly(tuple(v))
-
-
-def charpoly_at_matrix(poly: CharPoly, m: IntMatrix) -> IntMatrix:
-    """Evaluate the polynomial at a matrix by exact integer Horner."""
-    k = len(m)
-    acc = identity(k)
-    for c in poly.coefficients[1:]:
-        acc = mat_mul(acc, m)
-        if c:
-            acc = tuple(
-                tuple(acc[i][j] + (c if i == j else 0) for j in range(k)) for i in range(k)
-            )
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from symgraph import graph_to_json, golden_graph, linear_graph, complete_graph, spectral
+from symgraph import (
+    complete_graph,
+    count_series,
+    golden_graph,
+    graph_to_json,
+    linear_graph,
+    spectral,
+    total_count,
+)
 from symgraph.cli import build_parser, main
 
 
@@ -110,6 +118,15 @@ class TestAnalyze:
         }))
         assert main(["analyze", "--graph", str(gpath), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("sym", ["a,b", 'a"b', "a\nb", "a\rb", "a\u2028b"])
+    def test_csv_breaking_symbol_rejected(self, tmp_path, capsys, sym):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"alphabet": [sym, "c"], "edges": [[sym, "c"], ["c", sym]]}))
+        out = tmp_path / "o"
+        assert main(["analyze", "--graph", str(gpath), "--enumerate", "--out", str(out)]) == 1
+        assert "comma, quote or line break" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_chain_of_twelve_loops_writes_every_table(self, tmp_path):
         # eigenvalue 1 with multiplicity 12: the closed form comes from the
         # order-12 pole of the generating function, with no linear solve
@@ -176,7 +193,6 @@ class TestCombine:
             "--schedule", "paper", "--t-max", "2", "--n-max", "12", "--out", str(out),
         ]) == 0
         counts = read_tables(out)["combine_counts"].strip().split("\n")[1:]
-        from symgraph import total_count
         for line in counts:
             n, c = line.split(",")
             assert int(c) == total_count(golden_graph(), int(n))
@@ -226,7 +242,6 @@ class TestCombine:
             "--schedule", str(sched), "--n-max", "30", "--out", str(tmp_path / "o"),
         ]) == 1
 
-
     PINNED = {
         "combine_counts": "869e67c07fde2d776fb9cf2f90e7f1b7345cedabba337770fba8e6b481584874",
         "combine_bounds": "5c82193bc468da2bd85b0e30f2cb93224ed7dd75f6bd135e5eb9e05ceb0b9a75",
@@ -241,6 +256,22 @@ class TestCombine:
             "--schedule", "paper", "--t-max", "6", "--n-max", "200", "--out", str(out),
         ]) == 0
         assert sha256_tables(out, self.PINNED) == self.PINNED
+
+    def test_one_graph(self, tmp_path, graph_files):
+        out = tmp_path / "out"
+        assert main([
+            "combine", "--graph", graph_files["golden"], "--schedule", "paper",
+            "--t-max", "2", "--n-max", "12", "--out", str(out),
+        ]) == 0
+        tables = read_tables(out)
+        counts = [line.split(",") for line in tables["combine_counts"].split("\n")[1:-1]]
+        assert [(int(n), int(c)) for n, c in counts] == count_series(golden_graph(), 12).totals()
+        assert tables["combine_witness"] == "found,word,subword,start\nfalse,,,\n"
+        assert "combine_bounds" not in tables
+
+    def test_no_graph(self, tmp_path, capsys):
+        assert main(["combine", "--schedule", "paper", "--out", str(tmp_path / "o")]) == 1
+        assert "at least one graph" in capsys.readouterr().err
 
 
 class TestScan:
@@ -296,6 +327,34 @@ class TestEntropyFit:
         assert fit[0] == "power"
         assert 0.45 <= float(fit[3]) <= 0.55
 
+    def test_one_graph_reads_the_schedule(self, tmp_path, graph_files, capsys):
+        out = tmp_path / "o"
+        assert main([
+            "entropy-fit", "--graph", graph_files["golden"],
+            "--schedule", str(tmp_path / "missing.json"), "--t-max", "3", "--out", str(out),
+        ]) == 1
+        assert "cannot read schedule file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_graph_paper_schedule_milestones(self, tmp_path, graph_files):
+        # 8 milestones, the fewest the fit takes; golden's count at t = 12
+        # (n = 28,561) is past the 4,300-digit int-to-str guard
+        out = tmp_path / "out"
+        assert main([
+            "entropy-fit", "--graph", graph_files["golden"], "--schedule", "paper",
+            "--t-max", "8", "--out", str(out),
+        ]) == 0
+        rows = [line.split(",") for line in read_tables(out)["entropy_series"].split("\n")[1:-1]]
+        assert [(int(r[0]), int(r[1])) for r in rows] == [
+            (n, total_count(golden_graph(), n)) for n in ((t + 1) ** 4 for t in range(1, 9))
+        ]
+
+    def test_several_graphs_need_schedule(self, tmp_path, graph_files, capsys):
+        assert main([
+            "entropy-fit", "--graph", graph_files["golden"], "--graph", graph_files["linear"],
+            "--out", str(tmp_path / "o"),
+        ]) == 1
+        assert "needs --schedule" in capsys.readouterr().err
 
     def test_fit_outputs_have_no_nu(self, tmp_path, graph_files):
         out = tmp_path / "out"
@@ -306,7 +365,6 @@ class TestEntropyFit:
         assert header == ["model", "h", "g", "mu", "e", "residual", "rms_linear", "rms_power",
                           "rms_logarithmic", "n_lo", "n_hi"]
         assert "nu =" not in (out / "entropy_fit_report.txt").read_text()
-
 
     # the numpy-fitted entropy_fit table is left out
     @pytest.mark.parametrize("names, extra, digest", [

@@ -20,6 +20,7 @@ from symgraph import (
     complete_graph,
     complete_linear_bounds,
     complete_linear_system,
+    count_series,
     fibonacci,
     find_inadmissible_subword,
     format_word,
@@ -28,8 +29,10 @@ from symgraph import (
     golden_linear_system,
     graph_from_edges,
     iter_combined_word_sets,
+    iter_word_sets,
     linear_graph,
     match_preset,
+    milestone_counts,
     parse_schedule,
     preset_bounds,
     quartic_schedule,
@@ -52,6 +55,19 @@ def oracle_combined_words(system, n):
             w + (u,) for w in words for u in range(system.k) if graph.adjacency[w[-1]][u]
         }
     return words
+
+
+@st.composite
+def one_graph_systems(draw, k_max=4):
+    """One graph of up to k_max letters on a random schedule."""
+    k = draw(st.integers(1, k_max))
+    bits = draw(st.lists(st.integers(0, 1), min_size=k * k, max_size=k * k))
+    graph = DirectedGraph(
+        Alphabet(tuple(f"v{i}" for i in range(k))),
+        tuple(tuple(bits[i * k:(i + 1) * k]) for i in range(k)),
+    )
+    stints = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    return CombinedSystem((graph,), Schedule.from_stints(stints))
 
 
 @st.composite
@@ -173,9 +189,9 @@ class TestSystem:
         with pytest.raises(GraphSpecError):
             CombinedSystem((golden_graph(), other), quartic_schedule(1))
 
-    def test_needs_two_graphs(self):
-        with pytest.raises(GraphSpecError):
-            CombinedSystem((golden_graph(),), quartic_schedule(1))
+    def test_needs_a_graph(self):
+        with pytest.raises(GraphSpecError, match="at least one graph"):
+            CombinedSystem((), quartic_schedule(1))
 
     def test_active_graph(self):
         system = golden_linear_system(2)
@@ -195,6 +211,24 @@ class TestSystem:
             Schedule.from_stints([2, 2, 2, 2]),
         )
         assert [active_index(trio, j) for j in range(2, 9)] == [0, 1, 1, 2, 2, 0, 0]
+
+
+class TestOneGraphSystem:
+    """A single graph is the constant schedule: every result is the graph's own."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=one_graph_systems(), data=st.data())
+    def test_matches_the_graph(self, system, data):
+        (graph,) = system.graphs
+        horizon = system.schedule.horizon
+        n_max = data.draw(st.integers(1, min(horizon, 9)))
+        assert combined_count_series(system, horizon) == count_series(graph, horizon).totals()
+        # any order: ascending calls resume, descending ones restart
+        for n in data.draw(st.lists(st.integers(1, horizon), max_size=4)):
+            assert combined_count(system, n) == total_count(graph, n)
+        combined = [ws.codes() for ws in iter_combined_word_sets(system, n_max)]
+        assert combined == [ws.codes() for ws in iter_word_sets(graph, n_max)]
+        assert find_inadmissible_subword(system, n_max) is None
 
 
 class TestCombinedCounts:
@@ -367,6 +401,13 @@ class TestBounds:
         assert preset_bounds("golden-linear", 6) == reports
         series = combined_count_series(golden_linear_system(4), 5 ** 4)
         assert [r.actual for r in reports[:4]] == [series[r.n - 1][1] for r in reports[:4]]
+
+    def test_milestone_counts_stop_at_the_horizon(self):
+        # horizon 101: the milestones 16 and 81 lie within it, 256 beyond
+        schedule = Schedule.from_stints([4, 12, 5, 80])
+        system = CombinedSystem((golden_graph(), linear_graph()), schedule)
+        assert milestone_counts(system, 5) == [(16, 91), (81, 3121)]
+        assert milestone_counts(golden_linear_system(2), 2) == [(16, 91), (81, 3121)]
 
     def test_complete_linear_t1(self):
         report = complete_linear_bounds(1)

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from symgraph import (
-    combined_count,
     complete_graph,
     complete_linear_system,
     count_series,
@@ -13,16 +12,12 @@ from symgraph import (
     golden_linear_bounds,
     golden_linear_system,
     linear_graph,
+    milestone_counts,
     topological_entropy_estimate,
     two_cycle_graph,
 )
 
 MU = (1 + math.sqrt(5)) / 2
-
-
-def milestone_samples(system_factory, t_max):
-    system = system_factory(t_max)
-    return [((t + 1) ** 4, combined_count(system, (t + 1) ** 4)) for t in range(1, t_max + 1)]
 
 
 class TestEntropySeries:
@@ -100,12 +95,12 @@ class TestScalingFit:
         assert tail_fit.residual < 1e-3
 
     def test_complete_linear_power(self):
-        fit = fit_scaling(entropy_series(milestone_samples(complete_linear_system, 12)))
+        fit = fit_scaling(entropy_series(milestone_counts(complete_linear_system(12), 12)))
         assert fit.model == "power"
         assert 0.45 <= fit.mu <= 0.55
 
     def test_golden_linear_power_and_bounds(self):
-        samples = milestone_samples(golden_linear_system, 10)
+        samples = milestone_counts(golden_linear_system(10), 10)
         fit = fit_scaling(entropy_series(samples))
         assert fit.model == "power"
         assert 0.4 <= fit.mu <= 0.6
@@ -120,7 +115,7 @@ class TestScalingFit:
         for series in (
             entropy_series(count_series(complete_graph(), 40)),
             entropy_series(count_series(linear_graph(), 100)),
-            entropy_series(milestone_samples(complete_linear_system, 12)),
+            entropy_series(milestone_counts(complete_linear_system(12), 12)),
         ):
             fit = fit_scaling(series)
             for _, res in fit.residuals:
@@ -129,7 +124,7 @@ class TestScalingFit:
     def test_scale_consistency(self):
         # feeding log2-entropy scales g and e by log2(e), leaves mu and the
         # selected model alone
-        samples = milestone_samples(complete_linear_system, 12)
+        samples = milestone_counts(complete_linear_system(12), 12)
         nat = fit_scaling(entropy_series(samples))
         factor = 1 / math.log(2)
 

@@ -81,6 +81,12 @@ class TestParse:
         with pytest.raises(GraphSpecError):
             parse_graph(json.dumps({"alphabet": ["X"], "edges": [["X", "X"], ["X", "X"]]}))
 
+    @pytest.mark.parametrize("sym", ["a,b", 'a"b', "a\nb", "a\rb", "a\u2028b"])
+    def test_csv_breaking_symbol_rejected(self, sym):
+        # a comma, quote or line break in a symbol would shift the CSV table columns
+        with pytest.raises(GraphSpecError, match="comma, quote or line break"):
+            parse_graph(json.dumps({"alphabet": [sym, "c"], "edges": [[sym, "c"]]}))
+
     def test_malformed_document_rejected(self):
         with pytest.raises(GraphSpecError):
             parse_graph("{not json")
@@ -135,13 +141,12 @@ class TestValidate:
                 assert validate(g).weakly_connected == bfs_weakly_connected(g.adjacency), (k, mask)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 16).flatmap(
-        lambda k: st.tuples(st.just(k), st.integers(0, (1 << (k * k)) - 1))))
-    def test_weakly_connected_matches_bfs_random(self, k_mask):
-        k, mask = k_mask
-        syms = [f"v{i}" for i in range(k)]
-        adj = tuple(tuple((mask >> (i * k + j)) & 1 for j in range(k)) for i in range(k))
-        g = DirectedGraph(Alphabet(tuple(syms)), adj)
+    @given(k=st.integers(1, 16), density=st.floats(0, 0.3), data=st.data())
+    def test_weakly_connected_matches_bfs_random(self, k, density, data):
+        # sparse graphs, so that both connected and disconnected ones occur
+        cells = data.draw(st.lists(st.floats(0, 1), min_size=k * k, max_size=k * k))
+        adj = tuple(tuple(int(u < density) for u in cells[i * k:(i + 1) * k]) for i in range(k))
+        g = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(k))), adj)
         assert validate(g).weakly_connected == bfs_weakly_connected(adj)
 
     def test_absorbing_rows_zero_off_diagonal(self):
