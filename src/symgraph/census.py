@@ -4,9 +4,12 @@ The number of admissible length-n words from symbol i to symbol j is
 entry (i, j) of M**(n-1), in unbounded integer arithmetic.  Count series
 come from exact vector walks: the words ending in each letter are summed
 over the letter's predecessor list, one letter at a time, and the words
-starting at each letter walk the successor lists the same way.  A
-single graph is the constant schedule of the walk that also counts
-combined systems; only `count_matrix` forms M**(n-1), by `mat_pow`.
+starting at each letter walk the successor lists the same way.  The walk
+goes stint by stint, each stint's lists turned once into C-level
+`operator.itemgetter` gathers.  A single graph is the one-stint schedule
+of the walk that also counts combined systems.  `total_count` forms
+1^T M**(n-1) by binary powers from memoized squares (`intmat.vec_pow`);
+only `count_matrix` forms M**(n-1) itself, by `mat_pow`.
 Enumeration realizes the same census independently, by iterating the
 1-letter extension map on the set of all words, starting from the
 alphabet itself.  The routes are checked against each other in the
@@ -28,19 +31,22 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .graphs import DirectedGraph, Alphabet, GraphSpecError
 from . import intmat
-from .intmat import IntMatrix, mat_pow, mat_total
+from .intmat import IntMatrix, mat_pow, mat_total, vec_pow
 
 DEFAULT_ENUM_CAP = 10_000_000
 ENUM_CAP_ENV = "SYMGRAPH_ENUM_CAP"
 
 Word = tuple[int, ...]
 SuccTable = tuple[tuple[int, ...], ...]
+# (predecessor table, last length it extends to); stints ascend
+Stint = tuple[SuccTable, int]
 
 
 class EnumerationCapError(RuntimeError):
@@ -175,36 +181,58 @@ def count_matrix(graph: DirectedGraph, n: int) -> CountMatrix:
 
 
 def total_count(graph: DirectedGraph, n: int) -> int:
-    return count_matrix(graph, n).total
+    """Exact number of admissible length-n words: 1^T M**(n-1) 1."""
+    if n < 1:
+        raise ValueError("word length must be >= 1")
+    return sum(vec_pow((1,) * graph.k, graph.adjacency, n - 1))
 
 
-def _walk(k: int, pred_at: Callable[[int], SuccTable], n_max: int) -> Iterator[list[int]]:
+def _gathers(pred: SuccTable) -> list[itemgetter]:
+    """One itemgetter per letter over its predecessor list.
+
+    Vectors carry a padding 0 at index k = len(pred).  A list with fewer
+    than two entries also reads that slot twice, so every gather returns
+    a tuple to sum.
+    """
+    k = len(pred)
+    return [itemgetter(*p) if len(p) > 1 else itemgetter(*p, k, k) for p in pred]
+
+
+def _walk(k: int, stints: Sequence[Stint], n_max: int) -> Iterator[list[int]]:
     """Yield the row vector 1^T A_2 ... A_n for n = 1..n_max.
 
-    pred_at(j) lists, for each letter, the letters that may precede it at
-    the step that produces length j; A_j is the 0/1 matrix it describes.
-    Entry v of the n-th vector counts the length-n words ending in v.
+    Each stint (pred, last) lists, for each letter, the letters that may
+    precede it at the steps that produce lengths up to last; A_j is the
+    0/1 matrix it describes.  Entry v of the n-th vector counts the
+    length-n words ending in v, and entry k is a padding 0.
     """
-    vec = [1] * k
+    vec = [1] * k + [0]
     yield vec
-    for n in range(2, n_max + 1):
-        vec = [sum(map(vec.__getitem__, p)) for p in pred_at(n)]
-        yield vec
+    n = 1
+    memo: dict[SuccTable, list[itemgetter]] = {}
+    for pred, last in stints:
+        if pred not in memo:
+            memo[pred] = _gathers(pred)
+        gathers = memo[pred]
+        for n in range(n + 1, min(last, n_max) + 1):
+            vec = [sum(g(vec)) for g in gathers]
+            vec.append(0)
+            yield vec
 
 
 def count_series(graph: DirectedGraph, n_max: int) -> CountSeries:
-    """Counts for n = 1..n_max by two vector walks.
+    """Counts for n = 1..n_max by two one-stint vector walks.
 
     Column sums walk the predecessor lists.  Row sums walk the successor
     lists, which are the predecessor lists of the reversed graph.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    pred, succ = graph._pred, graph._succ
-    ends = _walk(graph.k, lambda j: pred, n_max)
-    starts = _walk(graph.k, lambda j: succ, n_max)
+    k = graph.k
+    ends = _walk(k, ((graph._pred, n_max),), n_max)
+    starts = _walk(k, ((graph._succ, n_max),), n_max)
     rows = tuple(
-        CountRow(n, sum(col), tuple(row), tuple(col))
+        CountRow(n, sum(col), tuple(row[:k]), tuple(col[:k]))
         for n, row, col in zip(range(1, n_max + 1), starts, ends)
     )
     return CountSeries(graph.alphabet, rows)

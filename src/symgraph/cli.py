@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import functools
 import json
 import math
 import sys
@@ -29,9 +30,10 @@ from pathlib import Path
 
 from . import __version__
 from .census import (
+    DEFAULT_ENUM_CAP,
+    ENUM_CAP_ENV,
     EnumerationCapError,
     count_series,
-    enumeration_cap,
     format_word,
     iter_word_sets,
 )
@@ -401,7 +403,9 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The symgraph parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="symgraph",
         description="exact word census and growth analysis for graph symbolic dynamics",
@@ -415,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict": dict(action="store_true", help="nonzero exit when a bound report fails"),
         "--enumerate": dict(action="store_true", help="also list words up to n-max"),
         "--enum-cap": dict(type=int, default=None,
-                           help=f"word-enumeration cap (default {enumeration_cap()})"),
+                           help=f"word-enumeration cap (default ${ENUM_CAP_ENV}, else {DEFAULT_ENUM_CAP})"),
         "--out": dict(default="symgraph-out", help="output directory"),
         "--format": dict(choices=("csv", "json"), default="csv"),
     }

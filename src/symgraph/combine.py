@@ -10,10 +10,13 @@ later stint contributes its full length, which is what makes the growth
 bounds for the bundled example systems exact.  A single graph is the
 system of one graph, the constant (autonomous) schedule.
 
-`combined_count` pushes the row vector 1^T through each stint segment,
-vec <- vec * A_m**len, and the system keeps the vector of its last
-count, so milestone counts taken in ascending order cost one pass along
-the schedule in all.
+`combined_count` pushes the row vector 1^T through each stint segment
+by binary powers of A_m from memoized squares (`intmat.vec_pow`), and
+the system keeps the vector of its last count, so milestone counts
+taken in ascending order cost one pass along the schedule in all, and
+every long stint of one graph reads the same chain of squares.
+`combined_count_series` walks the schedule stint by stint instead, one
+vector product per letter.
 
 Unlike the words of one graph, a subword of an admissible combined word
 need not be admissible; `find_inadmissible_subword` searches for the
@@ -31,7 +34,7 @@ import numpy as np
 
 from .census import WordSet, _walk, _word_sets, enumeration_cap, format_word
 from .graphs import Alphabet, DirectedGraph, GraphSpecError
-from .intmat import mat_pow, vec_mul
+from .intmat import vec_pow
 
 
 class ScheduleExhaustedError(RuntimeError):
@@ -142,9 +145,9 @@ def combined_count(system: CombinedSystem, n: int) -> int:
     """Exact count of combined words of length n (sum over endpoints).
 
     The row vector 1^T is pushed through each stint segment as
-    vec <- vec * A_m**len.  The system keeps the vector of its last call:
-    a call with n at or beyond that length resumes from it, a shorter
-    one restarts at length 1.
+    vec <- vec * A_m**len, by binary powers.  The system keeps the vector
+    of its last call: a call with n at or beyond that length resumes from
+    it, a shorter one restarts at length 1.
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
@@ -156,7 +159,7 @@ def combined_count(system: CombinedSystem, n: int) -> int:
         m = sched.stint_index(j + 1)
         hi = min(sched.g[m], n)
         graph = system.graphs[(m - 1) % len(system.graphs)]
-        vec = vec_mul(vec, mat_pow(graph.adjacency, hi - j))
+        vec = vec_pow(vec, graph.adjacency, hi - j)
         j = hi
     object.__setattr__(system, "_last_count", (n, vec))
     return sum(vec)
@@ -166,10 +169,12 @@ def combined_count_series(system: CombinedSystem, n_max: int) -> list[tuple[int,
     """(n, count) for n = 1..n_max by one vector walk along the schedule."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    system.schedule.stint_index(n_max)  # ScheduleExhaustedError beyond the horizon
-    pred_tables = [g._pred for g in system.graphs]
-    walk = _walk(system.k, lambda j: pred_tables[active_index(system, j)], n_max)
-    return [(n, sum(vec)) for n, vec in enumerate(walk, start=1)]
+    g = system.schedule.g
+    last = system.schedule.stint_index(n_max)  # ScheduleExhaustedError beyond the horizon
+    preds = [graph._pred for graph in system.graphs]
+    stints = [(preds[(m - 1) % len(preds)], g[m]) for m in range(1, last + 1)]
+    # the padding 0 at index k leaves each sum unchanged
+    return [(n, sum(vec)) for n, vec in enumerate(_walk(system.k, stints, n_max), start=1)]
 
 
 def iter_combined_word_sets(system: CombinedSystem, n_max: int, cap: int | None = None):

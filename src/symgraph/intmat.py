@@ -2,9 +2,16 @@
 
 Word counts grow geometrically, so everything here runs on Python's
 unbounded integers.  Matrices are immutable: tuples of row tuples.
+
+`vec_pow` forms v * m**e by the right-to-left binary method (Knuth,
+TAOCP vol. 2, 4.6.3): one vector product per set bit of e, with the
+squares m**(2**i) read from a bounded cache, so powers of one matrix
+share a single chain of squarings.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -51,3 +58,26 @@ def col_sums(m: IntMatrix) -> tuple[int, ...]:
 def vec_mul(v: tuple[int, ...], m: IntMatrix) -> tuple[int, ...]:
     """Exact row-vector product v * m."""
     return tuple(sum(x * y for x, y in zip(v, col)) for col in zip(*m))
+
+
+@lru_cache(maxsize=128)
+def _square(m: IntMatrix, i: int) -> IntMatrix:
+    """m**(2**i), each square from the memoized one below it."""
+    if i == 0:
+        return m
+    half = _square(m, i - 1)
+    return mat_mul(half, half)
+
+
+def vec_pow(v: tuple[int, ...], m: IntMatrix, e: int) -> tuple[int, ...]:
+    """Exact row-vector product v * m**e over the binary digits of e; e >= 0."""
+    if e < 0:
+        raise ValueError("negative matrix power")
+    m = tuple(map(tuple, m))  # a hashable cache key
+    i = 0
+    while e:
+        if e & 1:
+            v = vec_mul(v, _square(m, i))
+        e >>= 1
+        i += 1
+    return tuple(v)

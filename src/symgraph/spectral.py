@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .graphs import Alphabet, DirectedGraph, strongly_connected_components, validate
-from .census import count_series
+from .census import _gathers, count_series
 
 ROOT_TOL = 1e-7     # float distance at which two roots or moduli count as equal
 COEFF_TOL = 1e-8    # relative modulus below which a term is treated as absent
@@ -178,20 +178,25 @@ def verify_recurrence(graph: DirectedGraph, n_max: int) -> RecurrenceReport:
     if n_max <= k:
         raise ValueError(f"n_max must exceed the alphabet size {k}")
     poly = char_poly(graph)
-    # M^(n-1) and the polynomial at M are flattened row-major; entry
-    # (i, j) of a product with M sums entries (i, l) over the
-    # predecessors l of j
-    steps = [[i * k + l for l in graph._pred[j]] for i in range(k) for j in range(k)]
+    # M^(n-1) and the polynomial at M are flattened row-major, with the
+    # padding 0 of `_gathers` at index k*k; entry (i, j) of a product
+    # with M sums entries (i, l) over the predecessors l of j
+    kk = k * k
+    gathers = _gathers(tuple(
+        tuple(i * k + l for l in graph._pred[j]) for i in range(k) for j in range(k)
+    ))
 
     def times_m(flat: list[int]) -> list[int]:
-        return [sum(map(flat.__getitem__, idx)) for idx in steps]
+        out = [sum(g(flat)) for g in gathers]
+        out.append(0)
+        return out
 
-    identity_flat = [int(i == j) for i in range(k) for j in range(k)]
+    identity_flat = [int(i == j) for i in range(k) for j in range(k)] + [0]
     acc = identity_flat
     for c in poly.coefficients[1:]:
         acc = times_m(acc)
         if c:
-            for d in range(0, k * k, k + 1):
+            for d in range(0, kk, k + 1):
                 acc[d] += c
     if not any(acc):
         return RecurrenceReport(True, n_max, ())
@@ -205,7 +210,7 @@ def verify_recurrence(graph: DirectedGraph, n_max: int) -> RecurrenceReport:
         if n > k + 1:
             residual, got_all = times_m(residual), times_m(got_all)
         # the recurrence predicts got - residual
-        for pos, d in enumerate(residual):
+        for pos, d in enumerate(residual[:kk]):
             if d:
                 got = got_all[pos]
                 failures.append(RecurrenceFailure(n, pos // k, pos % k, got - d, got))

@@ -24,6 +24,7 @@ from symgraph import (
     two_cycle_graph,
 )
 from symgraph.census import _word_sets
+from symgraph.intmat import identity, mat_mul, mat_pow, vec_mul, vec_pow
 
 SQRT5 = math.sqrt(5)
 MU = (1 + SQRT5) / 2
@@ -116,6 +117,41 @@ class TestCountMatrix:
                         for j in range(k):
                             composed = sum(mats[n][i][l] * mats[m][l][j] for l in range(k))
                             assert composed == mats[n + m - 1][i][j]
+
+
+class TestVecPow:
+    """v * m**e by binary powers from memoized squares, against products."""
+
+    def test_matches_repeated_products(self):
+        for g in (golden_graph(), linear_graph(), complete_graph(), two_cycle_graph()):
+            v = tuple(range(1, g.k + 1))
+            power = identity(g.k)
+            for e in range(71):
+                assert vec_pow(v, g.adjacency, e) == vec_mul(v, power)
+                power = mat_mul(power, g.adjacency)
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph=random_graphs(2), e=st.integers(0, 10 ** 6))
+    @example(graph=DirectedGraph(Alphabet(("x", "y")), ((1, 1), (1, 0))), e=10 ** 6)
+    @example(graph=DirectedGraph(Alphabet(("x", "y")), ((1, 1), (1, 1))), e=999_999)
+    def test_matches_mat_pow_large_exponents(self, graph, e):
+        ones = (1,) * graph.k
+        assert vec_pow(ones, graph.adjacency, e) == vec_mul(ones, mat_pow(graph.adjacency, e))
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=random_graphs(4), e=st.integers(0, 3000), data=st.data())
+    def test_matches_mat_pow(self, graph, e, data):
+        v = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=graph.k, max_size=graph.k)))
+        assert vec_pow(v, graph.adjacency, e) == vec_mul(v, mat_pow(graph.adjacency, e))
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            vec_pow((1,), ((1,),), -1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=random_graphs(6), n=st.integers(1, 400))
+    def test_total_count_matches_count_matrix(self, graph, n):
+        assert total_count(graph, n) == count_matrix(graph, n).total
 
 
 class TestAdmissibility:

@@ -462,6 +462,18 @@ class TestManifest:
         assert "timestamp" in doc
         assert doc["config"]["n_max"] == 30
 
+    def test_parser_shared_across_runs(self, tmp_path, graph_files):
+        # one parser per process; the --graph list of one run must not leak into the next
+        assert build_parser() is build_parser()
+        argv = ["combine", "--schedule", "paper", "--t-max", "2", "--n-max", "12"]
+        assert main(argv + [
+            "--graph", graph_files["golden"], "--graph", graph_files["linear"],
+            "--out", str(tmp_path / "two"),
+        ]) == 0
+        assert main(argv + ["--graph", graph_files["golden"], "--out", str(tmp_path / "one")]) == 0
+        doc = json.loads((tmp_path / "one" / "manifest.json").read_text())
+        assert doc["config"]["graph"] == str([graph_files["golden"]])
+
     def test_csv_roundtrip_integer_columns(self, tmp_path, graph_files):
         out = tmp_path / "out"
         assert main([

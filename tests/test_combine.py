@@ -84,6 +84,34 @@ def random_systems(draw, k_max=5):
     return CombinedSystem(graphs, Schedule.from_stints(stints))
 
 
+@st.composite
+def walk_cases(draw, k_max=5):
+    """(system, n_max): one to three graphs, first stint of any length from
+    1, and n_max either a milestone or any length up to the horizon."""
+    k = draw(st.integers(1, k_max))
+    alphabet = Alphabet(tuple(f"v{i}" for i in range(k)))
+    bits = st.lists(st.integers(0, 1), min_size=k * k, max_size=k * k)
+    graphs = tuple(
+        DirectedGraph(alphabet, tuple(tuple(b[i * k:(i + 1) * k]) for i in range(k)))
+        for b in draw(st.lists(bits, min_size=1, max_size=3))
+    )
+    schedule = Schedule.from_stints(draw(st.lists(st.integers(1, 9), min_size=1, max_size=8)))
+    n_max = draw(st.sampled_from(schedule.g[1:]) | st.integers(1, schedule.horizon))
+    return CombinedSystem(graphs, schedule), n_max
+
+
+def reference_walk_totals(system, n_max):
+    """Letter-by-letter walk that looks up the active graph for every length."""
+    k = system.k
+    vec = [1] * k
+    totals = [(1, k)]
+    for j in range(2, n_max + 1):
+        adj = system.graphs[active_index(system, j)].adjacency
+        vec = [sum(vec[i] for i in range(k) if adj[i][v]) for v in range(k)]
+        totals.append((j, sum(vec)))
+    return totals
+
+
 def oracle_product_total(matrices):
     k = len(matrices[0])
     product = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
@@ -265,6 +293,41 @@ class TestCombinedCounts:
         repeated = data.draw(st.lists(st.sampled_from(lengths), max_size=12))
         expected = dict(series)
         for j in shuffled + lengths[::-1] + [j for j in repeated for _ in range(2)]:
+            assert combined_count(system, j) == expected[j]
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=walk_cases())
+    # k = 1, on a milestone and inside a stint
+    @example(case=(CombinedSystem(
+        (graph_from_edges("x", [("x", "x")]), graph_from_edges("x", [])),
+        Schedule.from_stints([1, 3, 2])), 4))
+    @example(case=(CombinedSystem(
+        (graph_from_edges("x", [("x", "x")]), graph_from_edges("x", [])),
+        Schedule.from_stints([1, 3, 2])), 5))
+    # letters with no predecessor (Z, then X) and with one (X, then Z),
+    # a first stint of length 1, n_max on a milestone and inside a stint
+    @example(case=(CombinedSystem(
+        (graph_from_edges("XYZ", [("X", "X"), ("X", "Y"), ("Y", "Y")]),
+         graph_from_edges("XYZ", [("Y", "Z"), ("Z", "Y"), ("Y", "Y")])),
+        Schedule.from_stints([1, 4, 3, 5])), 8))
+    @example(case=(CombinedSystem(
+        (graph_from_edges("XYZ", [("X", "X"), ("X", "Y"), ("Y", "Y")]),
+         graph_from_edges("XYZ", [("Y", "Z"), ("Z", "Y"), ("Y", "Y")])),
+        Schedule.from_stints([1, 4, 3, 5])), 11))
+    def test_series_matches_letter_by_letter_walk(self, case):
+        system, n_max = case
+        assert combined_count_series(system, n_max) == reference_walk_totals(system, n_max)
+
+    @settings(max_examples=15, deadline=None)
+    @given(system=random_systems(k_max=3).map(
+        lambda s: CombinedSystem(s.graphs, quartic_schedule(4))), data=st.data())
+    def test_long_stints_in_any_order(self, system, data):
+        # stints of up to 360 letters reach the higher memoized squares
+        assert max(system.schedule.stints) == 360
+        expected = dict(combined_count_series(system, system.schedule.horizon))
+        lengths = data.draw(st.permutations(
+            sorted(set(system.schedule.g[1:]) | {2, 100, 399, 400, 401, 624, 625})))
+        for j in lengths:
             assert combined_count(system, j) == expected[j]
 
     def test_ordered_product_identity(self):

@@ -211,6 +211,11 @@ class TestRecurrence:
                     assert any(f.i is None for f in expected)
                     assert any(f.i is not None for f in expected)
                     assert report.failures == expected
+                    # the flattened powers' padding slot never reaches a failure
+                    assert all(
+                        (f.i is None and f.j is None) or (f.i < graph.k and f.j < graph.k)
+                        for f in report.failures
+                    )
 
 
 class TestSquareFree:
