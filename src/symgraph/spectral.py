@@ -9,13 +9,16 @@ verifies the recurrence in exact arithmetic, extracts the closed form,
 classifies the resulting growth (exponential / polynomial / mixed), and
 scans all small weakly connected digraphs for mixed-growth witnesses.
 The polynomial vanishing at the matrix proves the recurrence at every n
-at once; the scan over n runs only to list the failures.
+at once, checked on one row vector of k packed integers; the scan over
+n runs only to list the failures.
 
 Numerical policy: no decision rests on a float tolerance.  The integer
-polynomial is split into square-free factors by Yun's algorithm in
-exact rational arithmetic, so each float root comes with an exact
-multiplicity, and roots of different factors are distinct because the
-factors are pairwise coprime.  The closed-form coefficients are
+polynomial is split into square-free factors exactly, so each float
+root comes with an exact multiplicity, and roots of different factors
+are distinct because the factors are pairwise coprime.  Most
+polynomials are certified square-free by one gcd modulo the prime
+2^61 - 1 and are then their own single factor; the others are split by
+Yun's algorithm in rational arithmetic.  The closed-form coefficients are
 residues of the exact rational generating function, read at each float
 root without a linear solve.  The growth class of a graph comes from its
 strongly connected components; ties between their Perron roots are
@@ -170,14 +173,34 @@ def verify_recurrence(graph: DirectedGraph, n_max: int) -> RecurrenceReport:
     checked, in unbounded integer arithmetic: with the polynomial
     sum_r c_r x^r, the residual sum_r c_r M^(n-1-k+r) over the nonzero
     c_r must vanish entrywise and in total at every n.  That residual is
-    M^(n-1-k) times the polynomial evaluated at M, so a zero value at M,
-    computed once, proves the recurrence at every n.  Only a nonzero
-    value runs the scan over n, which lists each failure.
+    M^(n-1-k) times the polynomial evaluated at M, so a zero value at M
+    proves the recurrence at every n.
+
+    The value at M is proved zero on one packed row vector
+    u = (1, 2^w, 2^(2w), ...): entry j of u times the value holds column
+    j as digits in base 2^w.  No entry of a power M^r with r <= deg
+    exceeds k^deg, so no entry of the value exceeds
+    B = sum_r |c_r| * k^deg in modulus, and w is chosen with
+    2^(w-1) > B.  A packed column is then 0 exactly when the column is:
+    its lowest nonzero digit would leave a nonzero residue modulo the
+    next power of 2^w.  Horner's rule on u costs one predecessor-list
+    walk of k packed integers per coefficient.  Only a nonzero value
+    evaluates the k*k entries and runs the scan over n, which lists
+    each failure.
     """
     k = graph.k
     if n_max <= k:
         raise ValueError(f"n_max must exceed the alphabet size {k}")
     poly = char_poly(graph)
+    w = (sum(map(abs, poly.coefficients)) * k ** poly.degree).bit_length() + 1
+    u = [1 << (i * w) for i in range(k)]
+    columns = _gathers(graph._pred)
+    packed = u + [0]  # with the padding 0 of `_gathers`
+    for c in poly.coefficients[1:]:
+        packed = [sum(g(packed)) + c * x for g, x in zip(columns, u)]
+        packed.append(0)
+    if not any(packed):
+        return RecurrenceReport(True, n_max, ())
     # M^(n-1) and the polynomial at M are flattened row-major, with the
     # padding 0 of `_gathers` at index k*k; entry (i, j) of a product
     # with M sums entries (i, l) over the predecessors l of j
@@ -198,8 +221,6 @@ def verify_recurrence(graph: DirectedGraph, n_max: int) -> RecurrenceReport:
         if c:
             for d in range(0, kk, k + 1):
                 acc[d] += c
-    if not any(acc):
-        return RecurrenceReport(True, n_max, ())
     # at n the residual is M^(n-1-k) times the polynomial at M, and the
     # actual counts are M^(n-1); both advance by one product with M per n
     residual, got_all = acc, identity_flat
@@ -289,6 +310,46 @@ def _squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
         d = _trim([x - y for x, y in _zip_pad(c, _deriv(b))])
         i += 1
     return out
+
+
+_P = (1 << 61) - 1  # a Mersenne prime
+
+
+def _squarefree_mod_p(p: tuple[int, ...]) -> bool:
+    """Certify that an integer polynomial is square-free.
+
+    The certificate is gcd(p, p') modulo the prime P = 2^61 - 1 being a
+    nonzero constant; P must not divide the leading coefficient.  A
+    repeated factor of p over Q is a common factor of p and p'.  By
+    Gauss's lemma it can be taken primitive in Z[x], and then it divides
+    p and p' in Z[x].  Its leading coefficient divides p's, so modulo P
+    it keeps its positive degree and divides both reductions, and their
+    gcd is not a constant.  A False answer proves nothing; the caller
+    then runs Yun's algorithm.
+    """
+    n = len(p) - 1
+    a = [c % _P for c in p]
+    b = _strip_mod_p([c * (n - i) for i, c in enumerate(p[:-1])])
+    while len(b) > 1:
+        # a <- a mod b, in place; the remainder is a's tail
+        inv = pow(b[0], -1, _P)
+        top = len(a) - len(b) + 1
+        for i in range(top):
+            q = a[i] * inv % _P
+            if q:
+                a[i + 1:i + len(b)] = [(x - q * y) % _P for x, y in zip(a[i + 1:i + len(b)], b[1:])]
+        a, b = b, _strip_mod_p(a[top:])
+    # the gcd is b, or a when b is the zero polynomial
+    return len(b or a) == 1
+
+
+def _strip_mod_p(p: list[int]) -> list[int]:
+    """Coefficients modulo P without leading zeros; [] is the zero polynomial."""
+    p = [c % _P for c in p]
+    i = 0
+    while i < len(p) and p[i] == 0:
+        i += 1
+    return p[i:]
 
 
 def _zip_pad(a: Poly, b: Poly):
@@ -395,15 +456,20 @@ def _roots_with_multiplicity(poly: CharPoly) -> tuple[tuple[complex, int], ...]:
     return _root_table(reduced)
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1024)
 def _root_table(reduced: tuple[int, ...]) -> tuple[tuple[complex, int], ...]:
     # Many graphs share a polynomial (333 distinct among the 61,344
     # connected 4-vertex digraphs), so the exact split and the float
-    # roots run once per polynomial.  Yun's factors are pairwise coprime,
-    # so no root appears in two of them.
+    # roots run once per polynomial.  A square-free polynomial is its own
+    # single factor, as Yun's algorithm would return it; Yun's factors
+    # are pairwise coprime, so no root appears in two of them.
+    if _squarefree_mod_p(reduced):
+        factors = [(reduced, 1)]
+    else:
+        factors = _squarefree_factors(tuple(Fraction(c) for c in reduced))
     pairs = [
         (complex(r), mult)
-        for factor, mult in _squarefree_factors(tuple(Fraction(c) for c in reduced))
+        for factor, mult in factors
         for r in np.roots([float(c) for c in factor])
     ]
     pairs.sort(key=lambda p: (-abs(p[0]), -p[0].real, p[0].imag))

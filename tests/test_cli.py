@@ -1,10 +1,14 @@
 import argparse
 import hashlib
 import json
+import random
+import time
 
 import pytest
 
 from symgraph import (
+    Alphabet,
+    DirectedGraph,
     complete_graph,
     count_series,
     golden_graph,
@@ -146,6 +150,31 @@ class TestAnalyze:
         # counts are a degree-11 polynomial in n; the float rule read 10,
         # because the n^11 coefficient 1/11! falls below COEFF_TOL
         assert tables["analyze_growth"].split("\n")[1].startswith("polynomial,1.0,11,")
+
+    def test_sixty_four_letters(self, tmp_path):
+        # a seeded 64-letter graph of density 0.3; the digests were measured
+        # when Yun's split over fractions made this run take about 50 s
+        rng = random.Random(64)
+        adj = tuple(tuple(int(rng.random() < 0.3) for _ in range(64)) for _ in range(64))
+        gpath = tmp_path / "g64.json"
+        gpath.write_text(graph_to_json(DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(64))), adj)))
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        code = main(["analyze", "--graph", str(gpath), "--n-max", "200", "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        digests = {
+            "analyze_charpoly": "03c2dc57fd40fb60ac2d2bb58bef4503fe0b451bd22517fe466016c53a56f992",
+            "analyze_closed_form": "424e95d97c99bc440c49a9a882493ceec571ce66904304392c005fbfb5359d1f",
+            "analyze_counts": "8ad4e6135572ac3ad024983f91651cdcbe350227d9c541c3f3ff0dea3d641cef",
+            "analyze_diagnostics": "7ff35252dced7ea581cbc9fdad73c84f9c70264f33416358c21dcefca5bf4047",
+            "analyze_entropy": "06689eab56b1f90c4849fe42328c6d163163202a99200a9ad73d76b94636b7f9",
+            "analyze_growth": "85349c515a16bf56a0bd2409b3d0de2ae9aaf894f8439d181d945a008c609193",
+            "analyze_recurrence": "99f14b96cf923f6d1ab2a909e8ca40a9bd16fd2123b62d128cd5b5a1d235e6a6",
+        }
+        assert set(read_tables(out)) == set(digests)
+        assert sha256_tables(out, digests) == digests
+        assert elapsed < 10.0
 
     def test_json_format_big_ints_as_strings(self, tmp_path, graph_files):
         out = tmp_path / "out"

@@ -2,7 +2,9 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
@@ -217,6 +219,61 @@ class TestRecurrence:
                         for f in report.failures
                     )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        adj=dense_or_sparse_matrices(8),
+        position=st.integers(1, 8),
+        delta=st.sampled_from((1, -1, 2 ** 100, -(2 ** 100))),
+    )
+    @example(adj=((1,),), position=1, delta=2 ** 100)
+    @example(adj=((1, 1, 1), (1, 1, 1), (1, 1, 1)), position=3, delta=-1)
+    @example(adj=((0, 0, 0), (1, 0, 0), (0, 1, 0)), position=2, delta=-(2 ** 100))
+    def test_packed_proof_sees_every_perturbation(self, adj, position, delta):
+        # the packed vector must be nonzero exactly when some entry of chi(M) is
+        k = len(adj)
+        graph = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(k))), adj)
+        coefficients = list(char_poly(graph).coefficients)
+        coefficients[min(position, k)] += delta
+        poly = CharPoly(tuple(coefficients))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "char_poly", lambda g: poly)
+            report = verify_recurrence(graph, 40)
+        expected = self.brute_force_failures(graph, poly.coefficients, 40)
+        assert report == RecurrenceReport(not expected, 40, expected)
+
+    def test_packed_width_is_not_too_narrow(self, monkeypatch):
+        # a golden block feeding a looped vertex: q = x^2 - x - 1 clears the
+        # block, so chi + q leaves only column (2, 1, -1) nonzero at M, and
+        # that column packs to 2 + 1*2 - 1*4 = 0 at width 1
+        graph = DirectedGraph(Alphabet(("A", "B", "C")), ((1, 1, 1), (1, 0, 1), (0, 0, 1)))
+        poly = CharPoly((1, -1, -1, 0))
+        assert char_poly(graph).coefficients == (1, -2, 0, 1)
+        value = poly_at_matrix(poly, graph.adjacency)
+        assert value == ((0, 0, 2), (0, 0, 1), (0, 0, -1))
+        assert all(sum(value[i][j] << i for i in range(3)) == 0 for j in range(3))
+        monkeypatch.setattr(spectral, "char_poly", lambda g: poly)
+        report = verify_recurrence(graph, 40)
+        assert not report.ok
+        assert report.failures == self.brute_force_failures(graph, poly.coefficients, 40)
+
+    @pytest.mark.parametrize("edges", [[("v0", "v1"), ("v1", "v2")], [("v2", "v1"), ("v1", "v0")]])
+    @pytest.mark.parametrize("delta", [1, -(2 ** 100)])
+    def test_perturbation_nonzero_in_one_entry(self, monkeypatch, edges, delta):
+        # on a 3-vertex path chi = x^3 and M^2 has one nonzero entry, so adding
+        # delta to the x^2 coefficient leaves chi(M) nonzero there only: in the
+        # lowest packed digit of the last column, or the highest of the first
+        graph = graph_from_edges(["v0", "v1", "v2"], edges)
+        assert char_poly(graph).coefficients == (1, 0, 0, 0)
+        poly = CharPoly((1, delta, 0, 0))
+        monkeypatch.setattr(spectral, "char_poly", lambda g: poly)
+        report = verify_recurrence(graph, 40)
+        assert report.failures == self.brute_force_failures(graph, poly.coefficients, 40)
+        i, j = (0, 2) if edges[0][0] == "v0" else (2, 0)
+        assert report.failures == (
+            RecurrenceFailure(4, i, j, -delta, 0),
+            RecurrenceFailure(4, None, None, -delta, 0),
+        )
+
 
 class TestSquareFree:
     def poly(self, *coeffs):
@@ -259,6 +316,108 @@ class TestSquareFree:
                             new[i + j] += a * b
                     product = new
             assert tuple(product) == tuple(coeffs)
+
+
+@st.composite
+def integer_polynomials(draw):
+    """Integer polynomials of degree 1..10, often with a repeated factor."""
+    lead = draw(st.integers(-9, 9).filter(bool))
+    if draw(st.booleans()):
+        return tuple([lead] + draw(st.lists(st.integers(-20, 20), min_size=1, max_size=10)))
+    # a product of small monic factors, each to a power 1..3
+    p = [lead]
+    for _ in range(draw(st.integers(1, 4))):
+        factor = [1] + draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3))
+        for _ in range(draw(st.integers(1, 3))):
+            if len(p) + len(factor) - 2 > 10:
+                break
+            new = [0] * (len(p) + len(factor) - 1)
+            for i, a in enumerate(p):
+                for j, b in enumerate(factor):
+                    new[i + j] += a * b
+            p = new
+    if len(p) == 1:
+        p.append(draw(st.integers(-20, 20)))
+    return tuple(p)
+
+
+def root_table_by_yun(reduced):
+    """The root table from Yun's exact split and np.roots of every factor."""
+    pairs = [
+        (complex(r), mult)
+        for factor, mult in _squarefree_factors(tuple(Fraction(c) for c in reduced))
+        for r in np.roots([float(c) for c in factor])
+    ]
+    pairs.sort(key=lambda p: (-abs(p[0]), -p[0].real, p[0].imag))
+    return tuple(pairs)
+
+
+def reduced_coefficients(adj):
+    k = len(adj)
+    poly = char_poly(DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(k))), adj))
+    return poly.coefficients[: poly.degree + 1 - poly.trailing_zeros]
+
+
+GOLDEN_TWICE = tuple(
+    tuple(int(i // 3 == j // 3 and golden_graph().adjacency[i % 3][j % 3]) for j in range(6))
+    for i in range(6)
+)
+
+
+class TestSquareFreeCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(p=integer_polynomials())
+    @example(p=(1, -2, 1))
+    @example(p=(2, 0, -1))
+    @example(p=(1, 0))
+    def test_certificate_against_sympy(self, p):
+        # with P dividing neither the leading coefficient nor the degree, the
+        # gcd modulo P is constant exactly when P does not divide the
+        # discriminant; a certified p has no repeated factor over Q
+        x = sympy.Symbol("x")
+        poly = sympy.Poly(p, x)
+        certified = spectral._squarefree_mod_p(p)
+        assert certified == (int(poly.discriminant()) % spectral._P != 0)
+        if certified:
+            assert all(m == 1 for _, m in sympy.sqf_list(poly)[1])
+
+    def test_repeated_factor_is_never_certified(self):
+        # (x^2 + x - 1)^2 (x - 3) and (x - 1)^k: Yun has to split them
+        assert not spectral._squarefree_mod_p((1, -1, -7, 1, 7, -3))
+        for k in range(2, 12):
+            assert not spectral._squarefree_mod_p(reduced_coefficients(loop_chain_graph(k).adjacency))
+        assert not spectral._squarefree_mod_p(reduced_coefficients(GOLDEN_TWICE))
+
+    @settings(max_examples=120, deadline=None)
+    @given(adj=dense_or_sparse_matrices(12))
+    @example(adj=loop_chain_graph(12).adjacency)
+    @example(adj=GOLDEN_TWICE)
+    @example(adj=chain_witness_graph().adjacency)
+    @example(adj=((0, 1, 1), (0, 0, 1), (0, 0, 0)))
+    @example(adj=((0,),))
+    def test_root_table_matches_yun(self, adj):
+        # chains of loops and repeated blocks take Yun's split; a nilpotent
+        # graph's reduced polynomial is the constant 1, with no roots
+        reduced = reduced_coefficients(adj)
+        expected = root_table_by_yun(reduced)
+        assert spectral._root_table.__wrapped__(reduced) == expected
+        assert spectral._root_table(reduced) == expected
+        if reduced == (1,):
+            assert expected == ()
+
+    def test_certified_polynomial_skips_yun(self, monkeypatch):
+        rng = random.Random(12)
+        adj = tuple(tuple(int(rng.random() < 0.3) for _ in range(12)) for _ in range(12))
+        reduced = reduced_coefficients(adj)
+        expected = root_table_by_yun(reduced)
+        assert spectral._squarefree_mod_p(reduced)
+
+        def forbidden(*args):
+            raise AssertionError("Yun's split ran on a certified polynomial")
+
+        monkeypatch.setattr(spectral, "_squarefree_factors", forbidden)
+        assert spectral._root_table.__wrapped__(reduced) == expected
+        assert spectral._root_table.__wrapped__((1,)) == ()
 
 
 class TestClosedForm:
@@ -577,6 +736,38 @@ class TestScan:
             conjecture_scan(5)
         with pytest.raises(ValueError):
             conjecture_scan(0)
+
+
+class TestAlphabetSize:
+    def test_forty_eight_letters(self, monkeypatch):
+        # the certificate spares Yun's split, which took about 4 s here,
+        # and the proof reads only the k predecessor lists, never the k*k
+        # flattened ones
+        rng = random.Random(48)
+        k = 48
+        adj = tuple(tuple(int(rng.random() < 0.3) for _ in range(k)) for _ in range(k))
+        graph = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(k))), adj)
+        gathered = []
+
+        def forbidden(*args):
+            raise AssertionError("Yun's split ran on a certified polynomial")
+
+        def gathers(pred):
+            gathered.append(len(pred))
+            return census._gathers(pred)
+
+        monkeypatch.setattr(spectral, "_squarefree_factors", forbidden)
+        monkeypatch.setattr(spectral, "_gathers", gathers)
+        spectral._root_table.cache_clear()
+        start = time.perf_counter()
+        form = closed_form(graph)
+        report = verify_recurrence(graph, 200)
+        elapsed = time.perf_counter() - start
+        assert report == RecurrenceReport(True, 200, ())
+        assert gathered == [k]
+        assert len(form.terms) == k - char_poly(graph).trailing_zeros
+        assert all(term.multiplicity == 1 for term in form.terms)
+        assert elapsed < 5.0
 
 
 class TestNumericalGuards:
