@@ -18,13 +18,15 @@ root comes with an exact multiplicity, and roots of different factors
 are distinct because the factors are pairwise coprime.  Most
 polynomials are certified square-free by one gcd modulo the prime
 2^61 - 1 and are then their own single factor; the others are split by
-Yun's algorithm in rational arithmetic.  The closed-form coefficients are
-residues of the exact rational generating function, read at each float
-root without a linear solve.  The growth class of a graph comes from its
-strongly connected components; ties between their Perron roots are
-decided by gcds and Sturm counts on rational intervals.  ROOT_TOL and
-COEFF_TOL remain only for classifying a given closed form and for
-picking the reported rho where several roots share the top modulus.
+Yun's algorithm over the integers, with primitive pseudo-remainders.
+The closed-form coefficients are residues of the exact rational
+generating function, read at each float root without a linear solve.
+The growth class of a graph comes from its strongly connected
+components; ties between their Perron roots are decided by integer
+gcds and Sturm counts at dyadic points.  Every exact polynomial is a
+tuple of integers, leading coefficient first.  ROOT_TOL and COEFF_TOL
+remain only for classifying a given closed form and for picking the
+reported rho where several roots share the top modulus.
 The split and the float roots run once per distinct polynomial (with
 its zero roots removed); later calls read the stored, immutable root
 table.
@@ -33,13 +35,14 @@ table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 
 from .graphs import Alphabet, DirectedGraph, strongly_connected_components, validate
 from .census import _gathers, count_series
+from .intmat import identity, mat_mul, mat_pow, mat_total
 
 ROOT_TOL = 1e-7     # float distance at which two roots or moduli count as equal
 COEFF_TOL = 1e-8    # relative modulus below which a term is treated as absent
@@ -185,8 +188,8 @@ def verify_recurrence(graph: DirectedGraph, n_max: int) -> RecurrenceReport:
     its lowest nonzero digit would leave a nonzero residue modulo the
     next power of 2^w.  Horner's rule on u costs one predecessor-list
     walk of k packed integers per coefficient.  Only a nonzero value
-    evaluates the k*k entries and runs the scan over n, which lists
-    each failure.
+    evaluates the matrix by `intmat` products and runs the scan over n,
+    which lists each failure.
     """
     k = graph.k
     if n_max <= k:
@@ -201,113 +204,120 @@ def verify_recurrence(graph: DirectedGraph, n_max: int) -> RecurrenceReport:
         packed.append(0)
     if not any(packed):
         return RecurrenceReport(True, n_max, ())
-    # M^(n-1) and the polynomial at M are flattened row-major, with the
-    # padding 0 of `_gathers` at index k*k; entry (i, j) of a product
-    # with M sums entries (i, l) over the predecessors l of j
-    kk = k * k
-    gathers = _gathers(tuple(
-        tuple(i * k + l for l in graph._pred[j]) for i in range(k) for j in range(k)
-    ))
-
-    def times_m(flat: list[int]) -> list[int]:
-        out = [sum(g(flat)) for g in gathers]
-        out.append(0)
-        return out
-
-    identity_flat = [int(i == j) for i in range(k) for j in range(k)] + [0]
-    acc = identity_flat
+    # list the failures: at n the residual is M^(n-1-k) times the
+    # polynomial at M, and the actual counts are M^(n-1); both advance by
+    # one product with M per n
+    m, eye = graph.adjacency, identity(k)
+    residual = eye
     for c in poly.coefficients[1:]:
-        acc = times_m(acc)
-        if c:
-            for d in range(0, kk, k + 1):
-                acc[d] += c
-    # at n the residual is M^(n-1-k) times the polynomial at M, and the
-    # actual counts are M^(n-1); both advance by one product with M per n
-    residual, got_all = acc, identity_flat
-    for _ in range(k):
-        got_all = times_m(got_all)
+        residual = tuple(
+            tuple(v + c * e for v, e in zip(row, eye_row))
+            for row, eye_row in zip(mat_mul(residual, m), eye)
+        )
+    got_all = mat_pow(m, k)
     failures: list[RecurrenceFailure] = []
     for n in range(k + 1, n_max + 1):
         if n > k + 1:
-            residual, got_all = times_m(residual), times_m(got_all)
+            residual, got_all = mat_mul(residual, m), mat_mul(got_all, m)
         # the recurrence predicts got - residual
-        for pos, d in enumerate(residual[:kk]):
-            if d:
-                got = got_all[pos]
-                failures.append(RecurrenceFailure(n, pos // k, pos % k, got - d, got))
-        d = sum(residual)
+        for i, (row, got_row) in enumerate(zip(residual, got_all)):
+            for j, d in enumerate(row):
+                if d:
+                    failures.append(RecurrenceFailure(n, i, j, got_row[j] - d, got_row[j]))
+        d = mat_total(residual)
         if d:
-            got = sum(got_all)
+            got = mat_total(got_all)
             failures.append(RecurrenceFailure(n, None, None, got - d, got))
     return RecurrenceReport(not failures, n_max, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
-# exact square-free decomposition (rational arithmetic)
+# exact polynomial algebra over the integers
 
-Poly = tuple[Fraction, ...]  # descending coefficients, leading nonzero
+Poly = tuple[int, ...]  # descending coefficients, leading nonzero; (0,) is zero
 
 
-def _trim(p: list[Fraction]) -> Poly:
+def _trim(p: list[int] | tuple[int, ...]) -> Poly:
     i = 0
     while i < len(p) - 1 and p[i] == 0:
         i += 1
-    return tuple(p[i:])
+    return tuple(p[i:]) or (0,)
 
 
 def _deriv(p: Poly) -> Poly:
     n = len(p) - 1
-    if n == 0:
-        return (Fraction(0),)
-    return _trim([c * (n - i) for i, c in enumerate(p[:-1])])
+    return tuple(c * (n - i) for i, c in enumerate(p[:-1])) or (0,)
 
 
-def _divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if len(b) == 1 and b[0] == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    qdeg = len(a) - len(b)
-    if qdeg < 0:
-        return (Fraction(0),), a
-    quot = [Fraction(0)] * (qdeg + 1)
-    for i in range(qdeg + 1):
-        c = rem[i] / b[0]
-        quot[i] = c
-        if c:
-            for j, bc in enumerate(b):
-                rem[i + j] -= c * bc
-    return _trim(quot), _trim(rem[qdeg + 1:] if len(rem) > qdeg + 1 else [Fraction(0)])
+def _sub(a: Poly, b: Poly) -> Poly:
+    pad = len(a) - len(b)
+    return _trim([x - y for x, y in zip((0,) * -pad + a, (0,) * pad + b)])
 
 
-def _monic(p: Poly) -> Poly:
-    lead = p[0]
-    return tuple(c / lead for c in p) if lead != 1 else p
+def _mul(a: Poly, b: Poly) -> Poly:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _rem(a: Poly, b: Poly) -> Poly:
+    """A positive multiple of a mod b, with content 1; b is not zero.
+
+    Each step scales the remainder by a positive divisor of |lc(b)|, so
+    the signs over Q stay, as Sturm chains need; dividing out the content
+    keeps the coefficients small (the primitive remainder sequence:
+    Collins 1967; von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6).
+    """
+    lead, sign = abs(b[0]), (1 if b[0] > 0 else -1)
+    r = list(a)
+    top = max(len(a) - len(b) + 1, 0)
+    tail = b[1:] + (0,) * top
+    for i in range(top):
+        if r[i]:
+            g = gcd(lead, r[i])
+            scale, q = lead // g, r[i] * sign // g
+            # scale * r - q * b * x^(top-1-i) clears entry i
+            r[i + 1:] = [scale * x - q * y for x, y in zip(r[i + 1:], tail)]
+    rest = _trim(r[top:])
+    g = gcd(*rest)
+    return tuple(c // g for c in rest) if g > 1 else rest
+
+
+def _quo(a: Poly, b: Poly) -> Poly:
+    """a / b where b divides a over Q; exact for a primitive b (Gauss's lemma)."""
+    r = list(a)
+    top = max(len(a) - len(b) + 1, 0)
+    for i in range(top):
+        r[i] //= b[0]  # r's head holds the quotient
+        r[i + 1:i + len(b)] = [x - r[i] * y for x, y in zip(r[i + 1:i + len(b)], b[1:])]
+    return _trim(r[:top])
 
 
 def _gcd(a: Poly, b: Poly) -> Poly:
-    while not (len(b) == 1 and b[0] == 0):
-        a, b = b, _divmod(a, b)[1]
-    return _monic(a) if len(a) > 1 else (Fraction(1),)
+    """The gcd with content 1 and a positive leading coefficient."""
+    while b != (0,):
+        a, b = b, _rem(a, b)
+    g = gcd(*a) if a[0] > 0 else -gcd(*a)
+    return tuple(c // g for c in a)
 
 
 def _squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: p = prod factor^multiplicity, factors square-free."""
-    if len(p) == 1:
-        return []
-    dp = _deriv(p)
-    a = _gcd(p, dp)
-    b = _divmod(p, a)[0]
-    c = _divmod(dp, a)[0]
-    d = _trim([x - y for x, y in _zip_pad(c, _deriv(b))])
+    """Yun's algorithm: monic p = prod factor^multiplicity, factors square-free.
+
+    Each gcd divides a monic polynomial, so content 1 makes it monic and
+    every quotient by it exact.  The first step, with b = p and d = p',
+    splits off gcd(p, p') and records no factor.
+    """
     out: list[tuple[Poly, int]] = []
-    i = 1
+    b, d, i = p, _deriv(p), 0
     while len(b) > 1:
         g = _gcd(b, d)
-        if len(g) > 1:
+        if i and len(g) > 1:
             out.append((g, i))
-        b = _divmod(b, g)[0]
-        c = _divmod(d, g)[0]
-        d = _trim([x - y for x, y in _zip_pad(c, _deriv(b))])
+        b = _quo(b, g)
+        d = _sub(_quo(d, g), _deriv(b))
         i += 1
     return out
 
@@ -315,7 +325,7 @@ def _squarefree_factors(p: Poly) -> list[tuple[Poly, int]]:
 _P = (1 << 61) - 1  # a Mersenne prime
 
 
-def _squarefree_mod_p(p: tuple[int, ...]) -> bool:
+def _squarefree_mod_p(p: Poly) -> bool:
     """Certify that an integer polynomial is square-free.
 
     The certificate is gcd(p, p') modulo the prime P = 2^61 - 1 being a
@@ -329,7 +339,7 @@ def _squarefree_mod_p(p: tuple[int, ...]) -> bool:
     """
     n = len(p) - 1
     a = [c % _P for c in p]
-    b = _strip_mod_p([c * (n - i) for i, c in enumerate(p[:-1])])
+    b = _trim([c * (n - i) % _P for i, c in enumerate(p[:-1])])
     while len(b) > 1:
         # a <- a mod b, in place; the remainder is a's tail
         inv = pow(b[0], -1, _P)
@@ -338,59 +348,39 @@ def _squarefree_mod_p(p: tuple[int, ...]) -> bool:
             q = a[i] * inv % _P
             if q:
                 a[i + 1:i + len(b)] = [(x - q * y) % _P for x, y in zip(a[i + 1:i + len(b)], b[1:])]
-        a, b = b, _strip_mod_p(a[top:])
+        a, b = list(b), _trim(a[top:])
     # the gcd is b, or a when b is the zero polynomial
-    return len(b or a) == 1
-
-
-def _strip_mod_p(p: list[int]) -> list[int]:
-    """Coefficients modulo P without leading zeros; [] is the zero polynomial."""
-    p = [c % _P for c in p]
-    i = 0
-    while i < len(p) and p[i] == 0:
-        i += 1
-    return p[i:]
-
-
-def _zip_pad(a: Poly, b: Poly):
-    la, lb = len(a), len(b)
-    n = max(la, lb)
-    pa = (Fraction(0),) * (n - la) + a
-    pb = (Fraction(0),) * (n - lb) + b
-    return zip(pa, pb)
+    return b != (0,) or len(a) == 1
 
 
 # ---------------------------------------------------------------------------
 # exact comparison of largest real roots (Sturm sequences)
 
 
-def _mul(a: Poly, b: Poly) -> Poly:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
 def _sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm sequence of the square-free part of p, which has p's real roots."""
-    p = _divmod(p, _gcd(p, _deriv(p)))[0]
+    """Sturm sequence, up to positive factors, of p's square-free part."""
+    p = _quo(p, _gcd(p, _deriv(p)))
     chain = [p, _deriv(p)]
     while len(chain[-1]) > 1:
-        chain.append(tuple(-c for c in _divmod(chain[-2], chain[-1])[1]))
+        chain.append(tuple(-c for c in _rem(chain[-2], chain[-1])))
     return chain
 
 
-def _roots_above(chain: list[Poly], x: Fraction) -> int:
-    """Number of distinct real roots above x (Sturm's theorem)."""
+def _roots_above(chain: list[Poly], num: int, shift: int) -> int:
+    """Number of distinct real roots above num / 2**shift (Sturm's theorem).
+
+    There q has the sign of the integer 2**(shift * deg q) * q(num / 2**shift),
+    which Horner's rule computes.
+    """
     def changes(signs: list[bool]) -> int:
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     values = []
     for q in chain:
-        v = Fraction(0)
-        for c in q:
-            v = v * x + c
+        v, scale = q[0], 1
+        for c in q[1:]:
+            scale <<= shift
+            v = v * num + c * scale
         values.append(v)
     return changes([v > 0 for v in values if v]) - changes([q[0] > 0 for q in chain if q[0]])
 
@@ -399,22 +389,26 @@ def _roots_above(chain: list[Poly], x: Fraction) -> int:
 def _top_owners(polys: tuple[Poly, ...]) -> tuple[int, ...]:
     """Indices of the polynomials whose largest real root is the largest of all.
 
-    Every root of each polynomial is a root of their lcm, p*q/gcd(p, q)
-    taken in turn.  Bisection from Cauchy's bound isolates the lcm's
-    largest real root in a rational interval (lo, hi] that holds no other
-    root; a polynomial owns that root exactly when it has a root above lo.
-    At least one polynomial must have a real root.
+    Every root of each polynomial is a root of their product.  Bisection
+    from Cauchy's bound, rounded up to an integer, isolates the product's
+    largest real root in a dyadic interval (lo, hi] that holds no other
+    root; a polynomial owns that root exactly when it has a root above
+    lo.  At least one polynomial must have a real root.
     """
-    lcm = polys[0]
+    product = polys[0]
     for p in polys[1:]:
-        lcm = _divmod(_mul(lcm, p), _gcd(lcm, p))[0]
-    chain = _sturm_chain(lcm)
-    hi = 1 + max(abs(c / chain[0][0]) for c in chain[0][1:])
-    lo = -hi
-    while _roots_above(chain, lo) > 1:
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if _roots_above(chain, mid) else (lo, mid)
-    return tuple(i for i, p in enumerate(polys) if _roots_above(_sturm_chain(p), lo))
+        product = _mul(product, p)
+    chain = _sturm_chain(product)
+    lead = abs(chain[0][0])
+    # the endpoints are lo / 2**shift and hi / 2**shift
+    hi = 1 + max(-(-abs(c) // lead) for c in chain[0][1:])
+    lo, shift = -hi, 0
+    while _roots_above(chain, lo, shift) > 1:
+        if hi - lo == 1:
+            lo, hi, shift = 2 * lo, 2 * hi, shift + 1
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _roots_above(chain, mid, shift) else (lo, mid)
+    return tuple(i for i, p in enumerate(polys) if _roots_above(_sturm_chain(p), lo, shift))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +460,7 @@ def _root_table(reduced: tuple[int, ...]) -> tuple[tuple[complex, int], ...]:
     if _squarefree_mod_p(reduced):
         factors = [(reduced, 1)]
     else:
-        factors = _squarefree_factors(tuple(Fraction(c) for c in reduced))
+        factors = _squarefree_factors(reduced)
     pairs = [
         (complex(r), mult)
         for factor, mult in factors
@@ -612,7 +606,7 @@ def _component_poly(succ: tuple[tuple[int, ...], ...], comp: tuple[int, ...]) ->
     """Characteristic polynomial of the subgraph on one component."""
     pos = {v: i for i, v in enumerate(comp)}
     sub = tuple(tuple(pos[j] for j in succ[v] if j in pos) for v in comp)
-    return tuple(Fraction(c) for c in _berkowitz(sub).coefficients)
+    return _berkowitz(sub).coefficients
 
 
 def _reported_rho(graph: DirectedGraph) -> float:

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from symgraph import (
     Alphabet,
@@ -34,7 +34,6 @@ from symgraph import (
 from symgraph import census, spectral
 from symgraph.intmat import mat_mul, mat_pow, mat_total
 from symgraph.spectral import CharPoly, RecurrenceFailure, RecurrenceReport, _squarefree_factors
-from fractions import Fraction
 
 MU = (1 + math.sqrt(5)) / 2
 
@@ -276,41 +275,38 @@ class TestRecurrence:
 
 
 class TestSquareFree:
-    def poly(self, *coeffs):
-        return tuple(Fraction(c) for c in coeffs)
-
     def test_simple_factors(self):
         # x^2 - 1 is square-free
-        out = _squarefree_factors(self.poly(1, 0, -1))
-        assert out == [(self.poly(1, 0, -1), 1)]
+        out = _squarefree_factors((1, 0, -1))
+        assert out == [((1, 0, -1), 1)]
 
     def test_double_root(self):
         # (x - 1)^2 = x^2 - 2x + 1
-        out = _squarefree_factors(self.poly(1, -2, 1))
-        assert out == [(self.poly(1, -1), 2)]
+        out = _squarefree_factors((1, -2, 1))
+        assert out == [((1, -1), 2)]
 
     def test_triple_root(self):
         # (x - 1)^3
-        out = _squarefree_factors(self.poly(1, -3, 3, -1))
-        assert out == [(self.poly(1, -1), 3)]
+        out = _squarefree_factors((1, -3, 3, -1))
+        assert out == [((1, -1), 3)]
 
     def test_mixed_multiplicities(self):
         # x * (x - 1)^2 = x^3 - 2x^2 + x  (the linear graph's polynomial)
-        out = _squarefree_factors(self.poly(1, -2, 1, 0))
-        assert out == [(self.poly(1, 0), 1), (self.poly(1, -1), 2)]
+        out = _squarefree_factors((1, -2, 1, 0))
+        assert out == [((1, 0), 1), ((1, -1), 2)]
 
     def test_product_reconstructs(self):
         # property: multiplying the factors back gives the input
         rng = random.Random(7)
         for _ in range(50):
             roots = [rng.randint(-3, 3) for _ in range(rng.randint(1, 4))]
-            coeffs = [Fraction(1)]
+            coeffs = [1]
             for r in roots:
-                coeffs = [a - r * b for a, b in zip(coeffs + [Fraction(0)], [Fraction(0)] + coeffs)]
-            product = [Fraction(1)]
+                coeffs = [a - r * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+            product = [1]
             for factor, mult in _squarefree_factors(tuple(coeffs)):
                 for _ in range(mult):
-                    new = [Fraction(0)] * (len(product) + len(factor) - 1)
+                    new = [0] * (len(product) + len(factor) - 1)
                     for i, a in enumerate(product):
                         for j, b in enumerate(factor):
                             new[i + j] += a * b
@@ -319,9 +315,9 @@ class TestSquareFree:
 
 
 @st.composite
-def integer_polynomials(draw):
+def integer_polynomials(draw, monic=False):
     """Integer polynomials of degree 1..10, often with a repeated factor."""
-    lead = draw(st.integers(-9, 9).filter(bool))
+    lead = 1 if monic else draw(st.integers(-9, 9).filter(bool))
     if draw(st.booleans()):
         return tuple([lead] + draw(st.lists(st.integers(-20, 20), min_size=1, max_size=10)))
     # a product of small monic factors, each to a power 1..3
@@ -345,7 +341,7 @@ def root_table_by_yun(reduced):
     """The root table from Yun's exact split and np.roots of every factor."""
     pairs = [
         (complex(r), mult)
-        for factor, mult in _squarefree_factors(tuple(Fraction(c) for c in reduced))
+        for factor, mult in _squarefree_factors(reduced)
         for r in np.roots([float(c) for c in factor])
     ]
     pairs.sort(key=lambda p: (-abs(p[0]), -p[0].real, p[0].imag))
@@ -418,6 +414,36 @@ class TestSquareFreeCertificate:
         monkeypatch.setattr(spectral, "_squarefree_factors", forbidden)
         assert spectral._root_table.__wrapped__(reduced) == expected
         assert spectral._root_table.__wrapped__((1,)) == ()
+
+
+class TestIntegerAlgebraAgainstSympy:
+    @settings(max_examples=200, deadline=None)
+    @given(p=integer_polynomials(monic=True))
+    @example(p=(1, -2, 1, 0))
+    @example(p=(1, -1, -7, 1, 7, -3))
+    def test_squarefree_factors_match_sqf_list(self, p):
+        x = sympy.Symbol("x")
+        content, factors = sympy.sqf_list(sympy.Poly(p, x))
+        assert content == 1
+        want = [(tuple(int(c) for c in f.all_coeffs()), m) for f, m in factors]
+        got = _squarefree_factors(p)
+        assert all(type(c) is int for factor, _ in got for c in factor)
+        assert sorted(got, key=lambda fm: fm[1]) == sorted(want, key=lambda fm: fm[1])
+
+    @settings(max_examples=150, deadline=None)
+    @given(polys=st.lists(
+        integer_polynomials(monic=True).filter(lambda p: len(p) <= 9), min_size=2, max_size=3,
+    ))
+    @example(polys=[(1, -1, -1), (1, -1, -1, 0)])  # mu from two polynomials
+    @example(polys=[(1, -2, 1), (1, 0, -4), (1, 0, 1)])  # a double root, 2, no real root
+    @example(polys=[(1, 0, -2), (1, -1, -1, 1)])  # sqrt(2) against the double root 1
+    def test_top_owners_match_real_roots(self, polys):
+        x = sympy.Symbol("x")
+        tops = [max(sympy.real_roots(sympy.Poly(p, x)), default=None) for p in polys]
+        assume(any(t is not None for t in tops))
+        top = max(t for t in tops if t is not None)
+        want = tuple(i for i, t in enumerate(tops) if t is not None and t == top)
+        assert spectral._top_owners(tuple(polys)) == want
 
 
 class TestClosedForm:
@@ -621,6 +647,35 @@ class TestStructuralClass:
         assert steps[0] > 0.1
         assert abs(steps[1] - steps[0]) < 1e-9
 
+    def test_two_twenty_letter_blocks_in_time(self):
+        # two seeded density-0.3 blocks, each kept strongly connected by a
+        # Hamilton cycle, with one edge from the first into the second; the
+        # Perron roots are compared on the product of two degree-20 polynomials
+        rng = random.Random(20)
+        size = 20
+        adj = [[0] * (2 * size) for _ in range(2 * size)]
+        for base in (0, size):
+            for i in range(size):
+                for j in range(size):
+                    adj[base + i][base + j] = int(rng.random() < 0.3)
+                adj[base + i][base + (i + 1) % size] = 1
+        adj[0][size] = 1
+        g = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(2 * size))), tuple(map(tuple, adj)))
+        comps = strongly_connected_components(g)
+        assert len(comps) == 2
+        spectral._top_owners.cache_clear()
+        start = time.perf_counter()
+        growth = classify_growth(g)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 5.0
+        # oracle: the blocks' float Perron roots are far apart, so the larger
+        # alone sets rho and no chain carries two of them
+        perron = [max(np.linalg.eigvals(np.array([[adj[i][j] for j in c] for i in c])).real)
+                  for c in comps]
+        assert abs(perron[0] - perron[1]) > 1e-3
+        assert (growth.kind, growth.poly_degree) == (EXPONENTIAL, 0)
+        assert abs(growth.rho - max(perron)) < 1e-9
+
     def test_near_tie_is_told_apart(self):
         # the largest roots differ by about 4.5e-13, far inside ROOT_TOL;
         # sympy's exact real roots say which is larger
@@ -630,10 +685,9 @@ class TestStructuralClass:
         rp, rq = (max(sympy.real_roots(sympy.Poly(c, x))) for c in (p, q))
         assert rp < rq
         assert 0 < float(rq - rp) < 1e-12
-        fp, fq = (tuple(map(Fraction, c)) for c in (p, q))
-        assert spectral._top_owners((fp, fq)) == (1,)
-        assert spectral._top_owners((fq, fp)) == (0,)
-        assert spectral._top_owners((fp, fq, fp)) == (1,)
+        assert spectral._top_owners((p, q)) == (1,)
+        assert spectral._top_owners((q, p)) == (0,)
+        assert spectral._top_owners((p, q, p)) == (1,)
 
     def test_runs_no_count_series_and_no_residues(self, monkeypatch):
         def forbidden(*args, **kwargs):
