@@ -22,8 +22,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, compress, filterfalse
 
-from .intmat import IntMatrix, mat_total
+from .intmat import IntMatrix
 
 HIGHER_ORDER_SEP = ">"
 
@@ -76,21 +77,14 @@ class DirectedGraph:
     _pred: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        k = self.alphabet.k
-        if len(self.adjacency) != k or any(len(row) != k for row in self.adjacency):
+        k, adj = self.alphabet.k, self.adjacency
+        if len(adj) != k or any(len(row) != k for row in adj):
             raise GraphSpecError(f"adjacency must be {k}x{k}")
-        for row in self.adjacency:
-            for entry in row:
-                if entry not in (0, 1):
-                    raise GraphSpecError(f"adjacency entries must be 0 or 1, got {entry!r}")
-        succ = tuple(
-            tuple(j for j in range(k) if row[j]) for row in self.adjacency
-        )
-        pred = tuple(
-            tuple(i for i in range(k) if self.adjacency[i][j]) for j in range(k)
-        )
-        object.__setattr__(self, "_succ", succ)
-        object.__setattr__(self, "_pred", pred)
+        for entry in filterfalse((0, 1).__contains__, chain.from_iterable(adj)):
+            raise GraphSpecError(f"adjacency entries must be 0 or 1, got {entry!r}")
+        cols = range(k)
+        object.__setattr__(self, "_succ", tuple(tuple(compress(cols, row)) for row in adj))
+        object.__setattr__(self, "_pred", tuple(tuple(compress(cols, col)) for col in zip(*adj)))
 
     @property
     def k(self) -> int:
@@ -98,7 +92,7 @@ class DirectedGraph:
 
     @property
     def edge_count(self) -> int:
-        return mat_total(self.adjacency)
+        return sum(map(len, self._succ))
 
     def successors(self, i: int) -> tuple[int, ...]:
         return self._succ[i]
@@ -240,9 +234,9 @@ def validate(graph: DirectedGraph) -> GraphDiagnostics:
     weakly = all(nbrs) and seen == (1 << k) - 1
     strongly = len(strongly_connected_components(graph)) == 1
     absorbing = tuple(
-        graph.alphabet.symbols[i]
-        for i in range(k)
-        if all(graph.adjacency[i][j] == 0 for j in range(k) if j != i)
+        sym
+        for i, (sym, s) in enumerate(zip(graph.alphabet.symbols, graph._succ))
+        if not s or s == (i,)
     )
     return GraphDiagnostics(
         weakly_connected=weakly,

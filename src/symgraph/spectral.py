@@ -4,7 +4,9 @@ Every count sequence coming from a graph satisfies the integer linear
 recurrence induced by the characteristic polynomial of the adjacency
 matrix (Cayley-Hamilton), and therefore has a closed form as a sum of
 polynomial-times-geometric terms over the nonzero eigenvalues.  This
-module computes the polynomial exactly (division-free Berkowitz scheme),
+module computes the polynomial exactly, as the product of the
+polynomials of the strongly connected components (the matrix is block
+triangular over them), each by the division-free Berkowitz scheme; it
 verifies the recurrence in exact arithmetic, extracts the closed form,
 classifies the resulting growth (exponential / polynomial / mixed), and
 scans all small weakly connected digraphs for mixed-growth witnesses.
@@ -118,14 +120,35 @@ class CharPoly:
 
 
 def char_poly(graph: DirectedGraph) -> CharPoly:
-    """det(xI - M) with exact integer coefficients (Berkowitz, division-free)."""
-    return _berkowitz(graph._succ)
+    """det(xI - M) with exact integer coefficients.
+
+    Ordered by strongly connected components, M is block triangular, so
+    det(xI - M) is the product of the components' polynomials (Lind &
+    Marcus, Symbolic Dynamics and Coding, ch. 4).  Each component runs
+    the division-free Berkowitz scheme once per relabeled form; only a
+    strongly connected graph runs it on the whole matrix.
+    """
+    succ, comps = graph._succ, strongly_connected_components(graph)
+    if len(comps) == 1:
+        return _berkowitz(succ)
+    coefficients: Poly = (1,)
+    for comp in comps:
+        coefficients = _mul(coefficients, _component_poly(succ, comp))
+    return CharPoly(coefficients)
+
+
+def _component_poly(succ: tuple[tuple[int, ...], ...], comp: tuple[int, ...]) -> Poly:
+    """Characteristic polynomial of the subgraph on one component."""
+    pos = {v: i for i, v in enumerate(comp)}
+    sub = tuple(tuple(pos[j] for j in succ[v] if j in pos) for v in comp)
+    return _berkowitz(sub).coefficients
 
 
 @lru_cache(maxsize=128)
 def _berkowitz(succ: tuple[tuple[int, ...], ...]) -> CharPoly:
-    # Successor lists fix the graph, so one graph's repeated callers
-    # (analyze's table, closed form and recurrence check) share one run.
+    # Keyed by successor lists: one graph's repeated callers (analyze's
+    # table, closed form and recurrence check) share one run, and so do
+    # equal components, relabeled from 0, of different graphs.
     # Step m borders the leading m x m block with row and column m.
     v = [1, -int(0 in succ[0])]
     for m in range(1, len(succ)):
@@ -602,13 +625,6 @@ def classify_growth(source: DirectedGraph | ClosedForm) -> GrowthClass:
     return GrowthClass(MIXED if degree else EXPONENTIAL, _reported_rho(graph), degree)
 
 
-def _component_poly(succ: tuple[tuple[int, ...], ...], comp: tuple[int, ...]) -> Poly:
-    """Characteristic polynomial of the subgraph on one component."""
-    pos = {v: i for i, v in enumerate(comp)}
-    sub = tuple(tuple(pos[j] for j in succ[v] if j in pos) for v in comp)
-    return _berkowitz(sub).coefficients
-
-
 def _reported_rho(graph: DirectedGraph) -> float:
     """Largest root modulus, as the closed form's classification reports it.
 
@@ -691,14 +707,25 @@ class ScanReport:
 
 
 _SCAN_SYMBOLS = ("A", "B", "C", "D")
+# per k: the alphabet, and the 0/1 entries of the row with bits r, for r < 2**k
+_SCAN_ALPHABETS = {k: Alphabet(_SCAN_SYMBOLS[:k]) for k in range(1, 5)}
+_SCAN_ROWS = {
+    k: tuple(tuple(r >> j & 1 for j in range(k)) for r in range(1 << k)) for k in range(1, 5)
+}
 
 
 def graph_from_bitmask(k: int, bitmask: int) -> DirectedGraph:
-    """Adjacency from row-major bits: bit i*k+j set means edge i -> j."""
-    adj = tuple(
-        tuple((bitmask >> (i * k + j)) & 1 for j in range(k)) for i in range(k)
-    )
-    return DirectedGraph(Alphabet(_SCAN_SYMBOLS[:k]), adj)
+    """Adjacency from row-major bits: bit i*k+j set means edge i -> j.
+
+    k must be 1..4 and 0 <= bitmask < 2**(k*k); ValueError otherwise.
+    """
+    if k not in _SCAN_ALPHABETS:
+        raise ValueError(f"k must be between 1 and 4, got {k!r}")
+    if not 0 <= bitmask < 1 << k * k:
+        raise ValueError(f"bitmask must be in [0, 2**{k * k}), got {bitmask}")
+    rows, full = _SCAN_ROWS[k], (1 << k) - 1
+    adj = tuple(rows[bitmask >> i * k & full] for i in range(k))
+    return DirectedGraph(_SCAN_ALPHABETS[k], adj)
 
 
 def iter_connected_bitmasks(k: int):

@@ -33,7 +33,7 @@ from symgraph import (
     CombinedSystem,
     quartic_schedule,
 )
-from symgraph import spectral
+from symgraph import graphs, spectral
 
 MU = (1 + math.sqrt(5)) / 2
 
@@ -252,7 +252,9 @@ def test_criterion_09_entropy_estimates():
 
 def test_criterion_10_scan_deterministic():
     r1 = conjecture_scan(3)
-    # drop the memoized polynomials and root tables, so the second run recomputes
+    # drop the memoized components, block polynomials and root tables, so the
+    # second run recomputes
+    graphs._components.cache_clear()
     spectral._berkowitz.cache_clear()
     spectral._root_table.cache_clear()
     r2 = conjecture_scan(3)

@@ -13,6 +13,7 @@ from symgraph import (
     count_series,
     golden_graph,
     graph_to_json,
+    graphs,
     linear_graph,
     spectral,
     total_count,
@@ -320,7 +321,9 @@ class TestScan:
     def test_k3_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["scan", "--k-max", "3", "--out", str(out1)]) == 0
-        # drop the memoized polynomials and root tables, so the second run recomputes
+        # drop the memoized components, block polynomials and root tables, so the
+        # second run recomputes
+        graphs._components.cache_clear()
         spectral._berkowitz.cache_clear()
         spectral._root_table.cache_clear()
         assert main(["scan", "--k-max", "3", "--out", str(out2)]) == 0

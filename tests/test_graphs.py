@@ -150,15 +150,23 @@ class TestValidate:
         assert validate(g).weakly_connected == bfs_weakly_connected(adj)
 
     def test_absorbing_rows_zero_off_diagonal(self):
-        # property: every absorbing state's row vanishes off the diagonal
+        # property: the absorbing states are exactly the vertices whose row
+        # vanishes off the diagonal, in alphabet order
         for k in (1, 2, 3):
-            for mask in iter_connected_bitmasks(k):
+            for mask in range(1 << k * k):
                 g = graph_from_bitmask(k, mask)
-                d = validate(g)
-                assert set(d.absorbing_states) <= set(g.alphabet.symbols)
-                for sym in d.absorbing_states:
-                    i = g.alphabet.index(sym)
-                    assert all(g.adjacency[i][j] == 0 for j in range(k) if j != i)
+                expected = tuple(
+                    sym for i, sym in enumerate(g.alphabet.symbols)
+                    if all(g.adjacency[i][j] == 0 for j in range(k) if j != i)
+                )
+                assert validate(g).absorbing_states == expected, (k, mask)
+
+    def test_edge_count_is_adjacency_sum(self):
+        for k in (1, 2, 3):
+            for mask in range(1 << k * k):
+                g = graph_from_bitmask(k, mask)
+                assert g.edge_count == validate(g).edge_count == sum(map(sum, g.adjacency))
+                assert g.edge_count == len(g.edges()) == bin(mask).count("1")
 
 
 class TestComponents:
@@ -249,3 +257,16 @@ class TestAlphabet:
     def test_adjacency_entries_validated(self):
         with pytest.raises(GraphSpecError):
             DirectedGraph(Alphabet(("X",)), ((2,),))
+
+    @pytest.mark.parametrize("entry", [2, -1, "1", None, 0.5])
+    def test_bad_entry_named_in_message(self, entry):
+        adj = ((1, 0), (0, entry))
+        with pytest.raises(GraphSpecError) as err:
+            DirectedGraph(Alphabet(("X", "Y")), adj)
+        assert str(err.value) == f"adjacency entries must be 0 or 1, got {entry!r}"
+
+    @pytest.mark.parametrize("adj", [((1, 0), (0,)), ((1, 0),), ((1, 0), (0, 1), (1, 1)), ((1, 0, 0), (0, 1))])
+    def test_ragged_or_wrong_size_rows_rejected(self, adj):
+        with pytest.raises(GraphSpecError) as err:
+            DirectedGraph(Alphabet(("X", "Y")), adj)
+        assert str(err.value) == "adjacency must be 2x2"

@@ -1,8 +1,10 @@
+import functools
 import hashlib
 import itertools
 import math
 import random
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -45,6 +47,44 @@ def dense_or_sparse_matrices(draw, k_max):
     density = draw(st.floats(0, 1))
     cells = draw(st.lists(st.floats(0, 1, exclude_max=True), min_size=k * k, max_size=k * k))
     return tuple(tuple(int(u < density) for u in cells[i * k:(i + 1) * k]) for i in range(k))
+
+
+@st.composite
+def block_triangular_matrices(draw):
+    """1-4 diagonal blocks, arrows only from earlier to later blocks, then relabeled.
+
+    A block is a loopless vertex (factor x), a loop (x - 1), a simple
+    cycle or a random 0/1 block; a block may repeat the one before it.
+    """
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        if blocks and draw(st.booleans()):
+            blocks.append(blocks[-1])
+            continue
+        shape = draw(st.sampled_from(["point", "loop", "cycle", "random"]))
+        if shape == "point":
+            blocks.append(((0,),))
+        elif shape == "loop":
+            blocks.append(((1,),))
+        elif shape == "cycle":
+            n = draw(st.integers(2, 4))
+            blocks.append(tuple(tuple(int(j == (i + 1) % n) for j in range(n)) for i in range(n)))
+        else:
+            n = draw(st.integers(1, 4))
+            cells = draw(st.lists(st.integers(0, 1), min_size=n * n, max_size=n * n))
+            blocks.append(tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n)))
+    starts = list(itertools.accumulate([0] + [len(b) for b in blocks]))
+    k = starts[-1]
+    owner = [b for b, block in enumerate(blocks) for _ in block]
+    adj = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            if owner[i] == owner[j]:
+                adj[i][j] = blocks[owner[i]][i - starts[owner[i]]][j - starts[owner[j]]]
+            elif owner[i] < owner[j]:
+                adj[i][j] = draw(st.integers(0, 1))
+    perm = draw(st.permutations(range(k)))
+    return tuple(tuple(adj[perm[i]][perm[j]] for j in range(k)) for i in range(k))
 
 
 def poly_at_matrix(poly, m):
@@ -123,14 +163,43 @@ class TestCharPoly:
         assert char_poly(graph).coefficients == expected
         assert all(type(c) is int for c in char_poly(graph).coefficients)
 
+    @settings(max_examples=150, deadline=None)
+    @given(adj=block_triangular_matrices())
+    @example(adj=((0, 1, 0), (0, 0, 1), (0, 0, 0)))
+    @example(adj=((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)))
+    @example(adj=((0, 1, 1, 0), (1, 0, 0, 1), (0, 0, 0, 1), (0, 0, 1, 0)))
+    def test_block_product_matches_sympy(self, adj):
+        # points, loops, cycles and repeated blocks, arranged block triangular
+        k = len(adj)
+        graph = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(k))), adj)
+        expected = tuple(int(c) for c in sympy.Matrix(adj).charpoly().all_coeffs())
+        assert char_poly(graph).coefficients == expected
+
+    def test_block_product_matches_whole_matrix_berkowitz(self):
+        # every mask up to k = 3, and every 7th at k = 4, against one
+        # unmemoized Berkowitz run on the whole matrix
+        whole = spectral._berkowitz.__wrapped__
+        masks = [(k, m) for k in (1, 2, 3) for m in range(1 << k * k)]
+        masks += [(4, m) for m in range(0, 1 << 16, 7)]
+        for k, mask in masks:
+            g = graph_from_bitmask(k, mask)
+            assert char_poly(g) == whole(g._succ), (k, mask)
+
     def test_one_run_per_graph(self):
-        # analyze asks for chi three times; equal successor lists share one result
+        # analyze asks for chi three times; the block polynomials are memoized
+        # by their relabeled successor lists, so the repeats run no Berkowitz
         g = chain_witness_graph()
         same = DirectedGraph(Alphabet(("P", "Q", "R", "S")), g.adjacency)
+        blocks = len(strongly_connected_components(g))
+        assert blocks == 2
         first = char_poly(g)
-        hits = spectral._berkowitz.cache_info().hits
-        assert char_poly(g) is first and char_poly(same) is first
-        assert spectral._berkowitz.cache_info().hits == hits + 2
+        before = spectral._berkowitz.cache_info()
+        assert char_poly(g) == first and char_poly(same) == first
+        after = spectral._berkowitz.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 2 * blocks
+        # a strongly connected graph is one block: the memo holds its polynomial
+        assert char_poly(complete_graph()) is char_poly(complete_graph())
 
 
 class TestRecurrence:
@@ -764,7 +833,19 @@ class TestScan:
             if row.rho > 0:
                 assert any(t.multiplicity == 1 and abs(t.root.imag) < 1e-7 for t in dominant)
 
-    def test_k4_scan_reports_chain_witness(self):
+    def test_k4_scan_reports_chain_witness(self, monkeypatch):
+        # count the Berkowitz runs: a fresh memo of the same size, whose
+        # misses run the unmemoized scheme
+        runs = Counter()
+        memo = spectral._berkowitz
+
+        def counted(succ):
+            runs[len(succ)] += 1
+            return memo.__wrapped__(succ)
+
+        monkeypatch.setattr(
+            spectral, "_berkowitz", functools.lru_cache(memo.cache_info().maxsize)(counted)
+        )
         report = conjecture_scan(4)
         # the digest of `symgraph scan --k-max 4`'s scan_table.csv, which
         # writes the same bytes
@@ -784,6 +865,25 @@ class TestScan:
         assert found[0] in report.mixed_weakly_only
         # conjecture: no mixed growth among strongly connected graphs
         assert report.mixed_strongly_connected == ()
+        # only a strongly connected graph runs Berkowitz on all 4 vertices,
+        # once, to report its rho; the others multiply memoized blocks
+        exponential = [r for r in report.rows if r.k == 4 and r.rho > 1]
+        assert len(exponential) == 51_152
+        assert runs[4] == sum(r.strongly_connected for r in exponential) == 25_690
+
+    def test_graph_from_bitmask_rejects_k_outside_1_to_4(self):
+        for k in (0, 5, -1):
+            with pytest.raises(ValueError, match="k must be between 1 and 4"):
+                graph_from_bitmask(k, 1)
+
+    def test_graph_from_bitmask_rejects_mask_out_of_range(self):
+        # bit 4 has no cell in a 2x2 matrix; -1 has every bit set
+        for k, mask in ((2, 0b10001), (2, 1 << 4), (2, -1), (1, 2), (4, 1 << 16)):
+            with pytest.raises(ValueError, match="bitmask must be in"):
+                graph_from_bitmask(k, mask)
+        # the extreme masks stay valid: no edge, and every edge
+        assert graph_from_bitmask(2, 0).edge_count == 0
+        assert graph_from_bitmask(4, (1 << 16) - 1).edge_count == 16
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
