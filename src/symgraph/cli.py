@@ -183,9 +183,9 @@ def _bound_tables(prefix: str, preset: str, bounds: list[BoundReport]) -> list[T
     ]
 
 
-def _witness_table(name: str, system: CombinedSystem, n_max: int, cap: int | None = None) -> Table:
+def _witness_table(name: str, system: CombinedSystem, n_max: int) -> Table:
     """The first word up to n_max with an inadmissible subword, if any."""
-    witness = find_inadmissible_subword(system, n_max, cap=cap)
+    witness = find_inadmissible_subword(system, n_max)
     row = ["false", "", "", ""]
     if witness is not None:
         row = ["true", format_word(system.alphabet, witness.word),
@@ -268,7 +268,7 @@ def cmd_analyze(args: argparse.Namespace) -> ExperimentOutput:
         out.tables.append(Table(
             "analyze_recurrence",
             ["n_max", "ok", "failures"],
-            [[str(rec.n_max), _fmt_bool(rec.ok), str(len(rec.failures))]],
+            [[str(rec.n_max), _fmt_bool(rec.ok), str(len(rec.residual))]],
         ))
 
     if args.enumerate:
@@ -301,7 +301,7 @@ def cmd_combine(args: argparse.Namespace) -> ExperimentOutput:
         bound_failed = any(not b.holds for b in bounds)
 
     witness_n = min(args.n_max, 10, schedule.horizon)
-    out.tables.append(_witness_table("combine_witness", system, witness_n, args.enum_cap))
+    out.tables.append(_witness_table("combine_witness", system, witness_n))
 
     if args.strict and bound_failed:
         out.manifest["strict_bound_failure"] = True
@@ -394,7 +394,7 @@ _COMMANDS = (
     ("analyze", cmd_analyze, "single-graph analysis",
      ("--graph", "--n-max", "--enumerate", "--enum-cap"), {}),
     ("combine", cmd_combine, "scheduled combination analysis",
-     ("--graph", "--schedule", "--n-max", "--t-max", "--strict", "--enum-cap"), {"t_max": 6}),
+     ("--graph", "--schedule", "--n-max", "--t-max", "--strict"), {"t_max": 6}),
     ("scan", cmd_scan, "exhaustive small-digraph classification", ("--k-max",), {}),
     ("entropy-fit", cmd_entropy_fit, "entropy series and scaling fit",
      ("--graph", "--schedule", "--n-max", "--t-max"), {"t_max": 12}),
@@ -439,7 +439,11 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphSpecError, EnumerationCapError, ScheduleExhaustedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    paths = output.write(args.out, args.format)
+    try:
+        paths = output.write(args.out, args.format)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     for path in paths:
         print(f"wrote {path}")
     if output.manifest.get("strict_bound_failure"):

@@ -19,8 +19,10 @@ every long stint of one graph reads the same chain of squares.
 vector product per letter.
 
 Unlike the words of one graph, a subword of an admissible combined word
-need not be admissible; `find_inadmissible_subword` searches for the
-first such witness, testing the subwords of a whole level at once.
+need not be admissible; `find_inadmissible_subword` finds the first such
+witness by reachability over letter bitmasks in the time-expanded graph
+of the system (Kolyada & Snoha 1996), enumerating no word, so it has no
+cap and no limit on the alphabet.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ import json
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .census import WordSet, _walk, _word_sets, enumeration_cap, format_word
 from .graphs import Alphabet, DirectedGraph, GraphSpecError
@@ -211,9 +211,25 @@ class SubwordWitness:
         )
 
 
-def find_inadmissible_subword(
-    system: CombinedSystem, n_max: int, cap: int | None = None
-) -> SubwordWitness | None:
+def _image(table: tuple[int, ...], states: int) -> int:
+    """States that follow some state of the bitmask `states`."""
+    out = 0
+    for s, mask in enumerate(table):
+        if states >> s & 1:
+            out |= mask
+    return out
+
+
+def _preimage(table: tuple[int, ...], states: int) -> int:
+    """States with some successor in the bitmask `states`."""
+    return sum(1 << s for s, mask in enumerate(table) if mask & states)
+
+
+def _lowest(states: int) -> int:
+    return (states & -states).bit_length() - 1
+
+
+def find_inadmissible_subword(system: CombinedSystem, n_max: int) -> SubwordWitness | None:
     """First admissible word (length <= n_max) with an inadmissible subword.
 
     Scan order is deterministic: lengths ascending, words in lexicographic
@@ -221,30 +237,46 @@ def find_inadmissible_subword(
     None when every contiguous subword of every word is itself a combined
     word of its length (as happens when all graphs coincide).
 
-    Each (subword length m, start) pair is tested for a whole level at
-    once: the subword codes are sliced out of the word codes and looked up
-    in the sorted level-m codes.  The witness word is the first word with
-    a miss, and its (m, start) the first pair in scan order that misses
-    it; once a miss is found, later pairs only test the words before it.
+    Nothing is enumerated.  The letters at word positions p, p + 1 are an
+    edge of the graph extending to length p + 2, and in the subword from
+    p - q they must be an edge of the graph extending to length q + 2.  So
+    a word is a witness exactly when one of its pairs misses some graph
+    active at lengths 2..p + 1: a bad pair.  Over the states (letter, bad
+    pair met), as bitmasks, a forward pass finds the first length with a
+    met state, a backward pass the states that reach one at its end, and
+    the lowest of those at each position spells the first witness word.
     """
-    levels = list(iter_combined_word_sets(system, n_max, cap))
-    k = system.k
-    for length, ws in enumerate(levels, start=1):
-        codes = ws._codes
-        best, hit = codes.size, None
-        for m in range(2, length):
-            target = levels[m - 1]._codes
-            for start in range(length - m + 1):
-                subs = codes[:best] // k ** (length - m - start) % k ** m
-                pos = np.minimum(np.searchsorted(target, subs), target.size - 1)
-                misses = np.flatnonzero(target[pos] != subs)
-                if misses.size:
-                    best, hit = int(misses[0]), (m, start)
-        if hit is not None:
-            word = ws._decode(int(codes[best]))
-            m, start = hit
-            return SubwordWitness(word, word[start : start + m], start)
-    return None
+    system.schedule.stint_index(n_max)  # ValueError below 1, ScheduleExhaustedError beyond
+    # state 2b: last letter b, a bad pair met; state 2b + 1: none met yet.
+    # The lowest state of a set is its lowest letter, met if it can be.
+    met = int("01" * system.k, 2)
+    spread = [tuple(sum(1 << 2 * b for b in row) for row in g._succ) for g in system.graphs]
+    tables: list[tuple[int, ...]] = []  # per position, each state's successors; 2a's are a's edges
+    common = (met,) * system.k  # successors in every graph so far
+    reach = met << 1
+    for p in range(n_max - 1):
+        succ = spread[active_index(system, p + 2)]
+        tables.append(tuple(x for e, c in zip(succ, common) for x in (e, e << 1 | e & ~c)))
+        common = tuple(e & c for e, c in zip(succ, common))
+        reach = _image(tables[p], reach)
+        if reach & met:
+            break
+    else:
+        return None
+    done = [met]
+    for table in reversed(tables):
+        done.append(_preimage(table, done[-1]))
+    states = [_lowest(done.pop() & met << 1)]
+    for table in tables:
+        states.append(_lowest(table[states[-1]] & done.pop()))
+    word = tuple(s >> 1 for s in states)
+    return next(
+        SubwordWitness(word, word[start : start + m], start)
+        for m in range(2, len(word))
+        for start in range(len(word) - m + 1)
+        if any(not tables[q][2 * word[start + q]] >> 2 * word[start + q + 1] & 1
+               for q in range(m - 1))
+    )
 
 
 @dataclass(frozen=True)

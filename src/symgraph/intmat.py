@@ -22,7 +22,6 @@ def identity(k: int) -> IntMatrix:
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact product of two square integer matrices of equal size."""
-    k = len(a)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a

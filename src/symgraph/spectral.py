@@ -11,8 +11,9 @@ verifies the recurrence in exact arithmetic, extracts the closed form,
 classifies the resulting growth (exponential / polynomial / mixed), and
 scans all small weakly connected digraphs for mixed-growth witnesses.
 The polynomial vanishing at the matrix proves the recurrence at every n
-at once, checked on one row vector of k packed integers; the scan over
-n runs only to list the failures.
+at once, checked on one row vector of k packed integers; when it does
+not vanish, the same packed integers hold its nonzero entries, the
+witness of every failure.
 
 Numerical policy: no decision rests on a float tolerance.  The integer
 polynomial is split into square-free factors exactly, so each float
@@ -44,7 +45,6 @@ import numpy as np
 
 from .graphs import Alphabet, DirectedGraph, strongly_connected_components, validate
 from .census import _gathers, count_series
-from .intmat import identity, mat_mul, mat_pow, mat_total
 
 ROOT_TOL = 1e-7     # float distance at which two roots or moduli count as equal
 COEFF_TOL = 1e-8    # relative modulus below which a term is treated as absent
@@ -177,19 +177,11 @@ def _berkowitz(succ: tuple[tuple[int, ...], ...]) -> CharPoly:
 
 
 @dataclass(frozen=True)
-class RecurrenceFailure:
-    n: int
-    i: int | None      # None, None marks the total-count sequence
-    j: int | None
-    expected: int
-    got: int
-
-
-@dataclass(frozen=True)
 class RecurrenceReport:
     ok: bool
     n_max: int
-    failures: tuple[RecurrenceFailure, ...]
+    # (i, j, value) for each nonzero entry of the polynomial at M, row-major
+    residual: tuple[tuple[int, int, int], ...]
 
 
 def verify_recurrence(graph: DirectedGraph, n_max: int) -> RecurrenceReport:
@@ -200,19 +192,18 @@ def verify_recurrence(graph: DirectedGraph, n_max: int) -> RecurrenceReport:
     sum_r c_r x^r, the residual sum_r c_r M^(n-1-k+r) over the nonzero
     c_r must vanish entrywise and in total at every n.  That residual is
     M^(n-1-k) times the polynomial evaluated at M, so a zero value at M
-    proves the recurrence at every n.
+    proves the recurrence at every n, and a nonzero one is the witness
+    of every failure: the report lists its nonzero entries.
 
-    The value at M is proved zero on one packed row vector
+    The value at M is found on one packed row vector
     u = (1, 2^w, 2^(2w), ...): entry j of u times the value holds column
     j as digits in base 2^w.  No entry of a power M^r with r <= deg
     exceeds k^deg, so no entry of the value exceeds
     B = sum_r |c_r| * k^deg in modulus, and w is chosen with
-    2^(w-1) > B.  A packed column is then 0 exactly when the column is:
-    its lowest nonzero digit would leave a nonzero residue modulo the
-    next power of 2^w.  Horner's rule on u costs one predecessor-list
-    walk of k packed integers per coefficient.  Only a nonzero value
-    evaluates the matrix by `intmat` products and runs the scan over n,
-    which lists each failure.
+    2^(w-1) > B.  Each packed column then reads back as k signed base-2^w
+    digits, lowest first, and is 0 exactly when the column is.  Horner's
+    rule on u costs one predecessor-list walk of k packed integers per
+    coefficient.
     """
     k = graph.k
     if n_max <= k:
@@ -225,33 +216,14 @@ def verify_recurrence(graph: DirectedGraph, n_max: int) -> RecurrenceReport:
     for c in poly.coefficients[1:]:
         packed = [sum(g(packed)) + c * x for g, x in zip(columns, u)]
         packed.append(0)
-    if not any(packed):
-        return RecurrenceReport(True, n_max, ())
-    # list the failures: at n the residual is M^(n-1-k) times the
-    # polynomial at M, and the actual counts are M^(n-1); both advance by
-    # one product with M per n
-    m, eye = graph.adjacency, identity(k)
-    residual = eye
-    for c in poly.coefficients[1:]:
-        residual = tuple(
-            tuple(v + c * e for v, e in zip(row, eye_row))
-            for row, eye_row in zip(mat_mul(residual, m), eye)
-        )
-    got_all = mat_pow(m, k)
-    failures: list[RecurrenceFailure] = []
-    for n in range(k + 1, n_max + 1):
-        if n > k + 1:
-            residual, got_all = mat_mul(residual, m), mat_mul(got_all, m)
-        # the recurrence predicts got - residual
-        for i, (row, got_row) in enumerate(zip(residual, got_all)):
-            for j, d in enumerate(row):
-                if d:
-                    failures.append(RecurrenceFailure(n, i, j, got_row[j] - d, got_row[j]))
-        d = mat_total(residual)
-        if d:
-            got = mat_total(got_all)
-            failures.append(RecurrenceFailure(n, None, None, got - d, got))
-    return RecurrenceReport(not failures, n_max, tuple(failures))
+    half = 1 << (w - 1)
+    residual = []
+    for j, x in enumerate(packed[:k]):
+        for i in range(k if x else 0):  # column j as signed base-2^w digits, lowest first
+            x, digit = divmod(x + half, 2 * half)
+            if digit != half:
+                residual.append((i, j, digit - half))
+    return RecurrenceReport(not residual, n_max, tuple(sorted(residual)))
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +429,6 @@ class ClosedForm:
             scale = term.root ** n
             acc += sum(c * n ** q for q, c in enumerate(term.coefficients)) * scale
         return acc.real
-
-    @property
-    def constant_term(self) -> float | None:
-        """Coefficient of the root-1 term, when 1 is a simple-enough root."""
-        for term in self.terms:
-            if abs(term.root - 1) <= ROOT_TOL:
-                return term.coefficients[0].real
-        return None
 
 
 def _roots_with_multiplicity(poly: CharPoly) -> tuple[tuple[complex, int], ...]:

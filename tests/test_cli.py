@@ -303,6 +303,33 @@ class TestCombine:
         assert main(["combine", "--schedule", "paper", "--out", str(tmp_path / "o")]) == 1
         assert "at least one graph" in capsys.readouterr().err
 
+    def test_dense_eight_letter_pair(self, tmp_path):
+        # the complete 8-letter graph, then the same without the loop at A: level 8
+        # alone holds 15,830,528 words, and the witness search enumerates none
+        letters = "ABCDEFGH"
+        edges = [[a, b] for a in letters for b in letters]
+        argv = ["combine"]
+        for name, kept in (("K8", edges), ("K8-minus-AA", edges[1:])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"alphabet": list(letters), "edges": kept, "name": name}))
+            argv += ["--graph", str(path)]
+        out = tmp_path / "out"
+        assert main(argv + ["--schedule", "paper", "--n-max", "100", "--out", str(out)]) == 0
+        tables = read_tables(out)
+        counts = tables["combine_counts"].split("\n")[1:-1]
+        # the complete graph extends to lengths 2..4; then AA is barred, in 8**3 words at 5
+        assert len(counts) == 100
+        assert counts[3:5] == [f"4,{8 ** 4}", f"5,{8 ** 5 - 8 ** 3}"]
+        assert tables["combine_witness"] == "found,word,subword,start\nfalse,,,\n"
+
+    def test_enumeration_cap_does_not_reach_combine(self, tmp_path, graph_files, monkeypatch):
+        argv = ["combine", "--graph", graph_files["golden"], "--graph", graph_files["linear"],
+                "--schedule", "paper", "--t-max", "2", "--n-max", "12"]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setenv("SYMGRAPH_ENUM_CAP", "1")
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+        assert read_tables(tmp_path / "a") == read_tables(tmp_path / "b")
+
 
 class TestScan:
     def test_k1(self, tmp_path):
@@ -494,6 +521,16 @@ class TestManifest:
         assert "timestamp" in doc
         assert doc["config"]["n_max"] == 30
 
+    def test_out_naming_a_file(self, tmp_path, capsys):
+        # an --out that cannot be a directory ends in a message, not a traceback
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        assert main(["scan", "--k-max", "1", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write output: ")
+        assert captured.out == ""
+        assert out.read_text() == "keep"
+
     def test_parser_shared_across_runs(self, tmp_path, graph_files):
         # one parser per process; the --graph list of one run must not leak into the next
         assert build_parser() is build_parser()
@@ -523,7 +560,7 @@ class TestParser:
     # each subcommand takes the options its handler reads, plus --out and --format
     OPTIONS = {
         "analyze": {"--graph", "--n-max", "--enumerate", "--enum-cap"},
-        "combine": {"--graph", "--schedule", "--n-max", "--t-max", "--strict", "--enum-cap"},
+        "combine": {"--graph", "--schedule", "--n-max", "--t-max", "--strict"},
         "scan": {"--k-max"},
         "entropy-fit": {"--graph", "--schedule", "--n-max", "--t-max"},
         "paper-examples": {"--t-max", "--strict"},
@@ -544,7 +581,7 @@ class TestParser:
             assert self.options(parser) == self.OPTIONS[name] | {"--out", "--format"}, name
 
     def test_settable_value_count(self):
-        assert sum(len(self.options(parser)) for parser in self.subparsers().values()) == 27
+        assert sum(len(self.options(parser)) for parser in self.subparsers().values()) == 26
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--n-max", "5"],
@@ -552,6 +589,7 @@ class TestParser:
         ["analyze", "--t-max", "3"],
         ["entropy-fit", "--enum-cap", "10"],
         ["paper-examples", "--n-max", "5"],
+        ["combine", "--enum-cap", "10"],
     ])
     def test_unread_options_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -553,11 +553,26 @@ class TestSubwordWitness:
         assert first == second
 
     @settings(max_examples=150, deadline=None)
-    @given(system=random_systems(k_max=4), n_max=st.integers(1, 9))
+    @given(system=random_systems(k_max=8), n_max=st.integers(1, 9))
     @example(system=LATER_PAIR_FIRST_WORD, n_max=5)
     def test_matches_reference_scan(self, system, n_max):
-        n_max = min(n_max, system.schedule.horizon)
+        # the reference enumerates every level, so alphabets of 5 to 8 letters stay short
+        n_max = min(n_max, system.schedule.horizon, 9 if system.k <= 4 else 4)
         assert find_inadmissible_subword(system, n_max) == reference_witness(system, n_max)
+
+    def test_dense_pair_far_beyond_enumeration(self):
+        # the complete 8-letter graph, then the same without the loop at A: AA is
+        # barred at lengths 5..16 and allowed again at 17, in one of 8**17 words
+        alphabet = Alphabet(tuple("ABCDEFGH"))
+        full = DirectedGraph(alphabet, ((1,) * 8,) * 8)
+        no_loop = DirectedGraph(alphabet, ((0,) + (1,) * 7,) + ((1,) * 8,) * 7)
+        system = CombinedSystem((full, no_loop), quartic_schedule(3))
+        assert find_inadmissible_subword(system, 16) is None
+        witness = find_inadmissible_subword(system, 30)
+        assert format_word(alphabet, witness.word) == "AAAA" + "BA" * 6 + "A"
+        # the first subword to fail is the shortest whose pair 3, read by the
+        # graph of length 5, is the final AA
+        assert format_word(alphabet, witness.subword) == "BABAA" and witness.start == 12
 
     def test_python_int_levels_match_reference_scan(self):
         # 64 letters at n = 11: codes reach 64**11 = 2**66, so levels are Python ints

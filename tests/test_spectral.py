@@ -34,8 +34,8 @@ from symgraph import (
     verify_recurrence,
 )
 from symgraph import census, spectral
-from symgraph.intmat import mat_mul, mat_pow, mat_total
-from symgraph.spectral import CharPoly, RecurrenceFailure, RecurrenceReport, _squarefree_factors
+from symgraph.intmat import mat_mul
+from symgraph.spectral import CharPoly, RecurrenceReport, _squarefree_factors
 
 MU = (1 + math.sqrt(5)) / 2
 
@@ -229,22 +229,9 @@ class TestRecurrence:
             verify_recurrence(golden_graph(), 3)
 
     @staticmethod
-    def brute_force_failures(graph, coefficients, n_max):
-        """Every failing entry and total, from explicit matrix powers."""
-        k = graph.k
-        low = coefficients[:0:-1]  # low[r] is the coefficient of x^r
-        powers = [None] + [mat_pow(graph.adjacency, n - 1) for n in range(1, n_max + 1)]
-        failures = []
-        for n in range(k + 1, n_max + 1):
-            for i in range(k):
-                for j in range(k):
-                    want = -sum(low[r] * powers[n - k + r][i][j] for r in range(k))
-                    if powers[n][i][j] != want:
-                        failures.append(RecurrenceFailure(n, i, j, want, powers[n][i][j]))
-            want = -sum(low[r] * mat_total(powers[n - k + r]) for r in range(k))
-            if mat_total(powers[n]) != want:
-                failures.append(RecurrenceFailure(n, None, None, want, mat_total(powers[n])))
-        return tuple(failures)
+    def nonzero_entries(value):
+        """(i, j, value) for each nonzero entry of a matrix, row-major."""
+        return tuple((i, j, v) for i, row in enumerate(value) for j, v in enumerate(row) if v)
 
     def test_annihilating_polynomial_other_than_charpoly(self, monkeypatch):
         # x^3 - 2x^2 - 3x = chi + (x^2 - 3x) also vanishes at the all-ones matrix
@@ -254,7 +241,7 @@ class TestRecurrence:
         monkeypatch.setattr(spectral, "char_poly", lambda g: poly)
         report = verify_recurrence(graph, 40)
         assert report == RecurrenceReport(True, 40, ())
-        assert self.brute_force_failures(graph, poly.coefficients, 40) == ()
+        assert self.nonzero_entries(poly_at_matrix(poly, graph.adjacency)) == ()
 
     def test_any_n_max_is_proved_at_once(self):
         # the scan over n could not reach this n_max; chi(M) = 0 settles it
@@ -269,6 +256,7 @@ class TestRecurrence:
         graphs = [golden_graph(), linear_graph(), chain_witness_graph(), graph_from_bitmask(4, 0x9A5B)]
         for graph in graphs:
             true_coefficients = char_poly(graph).coefficients
+            m = sympy.Matrix(graph.adjacency)
             for position in range(1, graph.k + 1):
                 for delta in (1, -1):
                     coefficients = list(true_coefficients)
@@ -276,16 +264,16 @@ class TestRecurrence:
                     poly = CharPoly(tuple(coefficients))
                     monkeypatch.setattr(spectral, "char_poly", lambda g, poly=poly: poly)
                     report = verify_recurrence(graph, 40)
-                    expected = self.brute_force_failures(graph, poly.coefficients, 40)
-                    assert not report.ok and report.n_max == 40
-                    assert any(f.i is None for f in expected)
-                    assert any(f.i is not None for f in expected)
-                    assert report.failures == expected
-                    # the flattened powers' padding slot never reaches a failure
-                    assert all(
-                        (f.i is None and f.j is None) or (f.i < graph.k and f.j < graph.k)
-                        for f in report.failures
+                    # sympy's value of the polynomial at M, by its own matrix powers
+                    value = sum(
+                        (c * m ** r for r, c in enumerate(reversed(coefficients))),
+                        sympy.zeros(graph.k),
                     )
+                    expected = self.nonzero_entries(value.tolist())
+                    assert not report.ok and report.n_max == 40
+                    assert report.residual == expected
+                    # the padding slot of the packed vector never reaches the residual
+                    assert all(i < graph.k and j < graph.k for i, j, _ in report.residual)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -297,7 +285,7 @@ class TestRecurrence:
     @example(adj=((1, 1, 1), (1, 1, 1), (1, 1, 1)), position=3, delta=-1)
     @example(adj=((0, 0, 0), (1, 0, 0), (0, 1, 0)), position=2, delta=-(2 ** 100))
     def test_packed_proof_sees_every_perturbation(self, adj, position, delta):
-        # the packed vector must be nonzero exactly when some entry of chi(M) is
+        # the packed vector must read back every entry of chi(M), signs and all
         k = len(adj)
         graph = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(k))), adj)
         coefficients = list(char_poly(graph).coefficients)
@@ -306,7 +294,7 @@ class TestRecurrence:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "char_poly", lambda g: poly)
             report = verify_recurrence(graph, 40)
-        expected = self.brute_force_failures(graph, poly.coefficients, 40)
+        expected = self.nonzero_entries(poly_at_matrix(poly, adj))
         assert report == RecurrenceReport(not expected, 40, expected)
 
     def test_packed_width_is_not_too_narrow(self, monkeypatch):
@@ -322,7 +310,7 @@ class TestRecurrence:
         monkeypatch.setattr(spectral, "char_poly", lambda g: poly)
         report = verify_recurrence(graph, 40)
         assert not report.ok
-        assert report.failures == self.brute_force_failures(graph, poly.coefficients, 40)
+        assert report.residual == ((0, 2, 2), (1, 2, 1), (2, 2, -1))
 
     @pytest.mark.parametrize("edges", [[("v0", "v1"), ("v1", "v2")], [("v2", "v1"), ("v1", "v0")]])
     @pytest.mark.parametrize("delta", [1, -(2 ** 100)])
@@ -335,12 +323,9 @@ class TestRecurrence:
         poly = CharPoly((1, delta, 0, 0))
         monkeypatch.setattr(spectral, "char_poly", lambda g: poly)
         report = verify_recurrence(graph, 40)
-        assert report.failures == self.brute_force_failures(graph, poly.coefficients, 40)
+        assert report.residual == self.nonzero_entries(poly_at_matrix(poly, graph.adjacency))
         i, j = (0, 2) if edges[0][0] == "v0" else (2, 0)
-        assert report.failures == (
-            RecurrenceFailure(4, i, j, -delta, 0),
-            RecurrenceFailure(4, None, None, -delta, 0),
-        )
+        assert report.residual == ((i, j, delta),)
 
 
 class TestSquareFree:
@@ -528,7 +513,8 @@ class TestClosedForm:
         assert abs(by_root[round(MU, 6)].coefficients[0].real - (15 + 7 * math.sqrt(5)) / 10) < 1e-9
         assert abs(by_root[1.0].coefficients[0].real - (-2.0)) < 1e-9
         assert abs(by_root[round(1 - MU, 6)].coefficients[0].real - (15 - 7 * math.sqrt(5)) / 10) < 1e-9
-        assert form.constant_term == pytest.approx(-2.0)
+        (one,) = [t for t in form.terms if abs(t.root - 1) < 1e-9]
+        assert one.coefficients[0].real == pytest.approx(-2.0)
 
     def test_linear(self):
         form = closed_form(linear_graph())
