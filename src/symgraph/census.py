@@ -5,11 +5,11 @@ entry (i, j) of M**(n-1), in unbounded integer arithmetic.  Count series
 come from exact vector walks: the words ending in each letter are summed
 over the letter's predecessor list, one letter at a time, and the words
 starting at each letter walk the successor lists the same way.  The walk
-goes stint by stint, each stint's lists turned once into C-level
-`operator.itemgetter` gathers.  A single graph is the one-stint schedule
-of the walk that also counts combined systems.  `total_count` forms
-1^T M**(n-1) by binary powers from memoized squares (`intmat.vec_pow`);
-only `count_matrix` forms M**(n-1) itself, by `mat_pow`.
+goes stint by stint, every step one plain-loop 0/1 matrix-vector product
+(`_step`).  A single graph is the one-stint schedule of the walk that
+also counts combined systems.  `total_count` forms 1^T M**(n-1) by
+binary powers from memoized squares (`intmat.vec_pow`); only
+`count_matrix` forms M**(n-1) itself, by `mat_pow`.
 Enumeration realizes the same census independently, by iterating the
 1-letter extension map on the set of all words, starting from the
 alphabet itself.  The routes are checked against each other in the
@@ -31,7 +31,6 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -187,15 +186,15 @@ def total_count(graph: DirectedGraph, n: int) -> int:
     return sum(vec_pow((1,) * graph.k, graph.adjacency, n - 1))
 
 
-def _gathers(pred: SuccTable) -> list[itemgetter]:
-    """One itemgetter per letter over its predecessor list.
-
-    Vectors carry a padding 0 at index k = len(pred).  A list with fewer
-    than two entries also reads that slot twice, so every gather returns
-    a tuple to sum.
-    """
-    k = len(pred)
-    return [itemgetter(*p) if len(p) > 1 else itemgetter(*p, k, k) for p in pred]
+def _step(pred: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
+    """The 0/1 matrix-vector product: entry v sums vec over pred[v]."""
+    out = []
+    for p in pred:
+        s = 0
+        for i in p:
+            s += vec[i]
+        out.append(s)
+    return out
 
 
 def _walk(k: int, stints: Sequence[Stint], n_max: int) -> Iterator[list[int]]:
@@ -204,19 +203,14 @@ def _walk(k: int, stints: Sequence[Stint], n_max: int) -> Iterator[list[int]]:
     Each stint (pred, last) lists, for each letter, the letters that may
     precede it at the steps that produce lengths up to last; A_j is the
     0/1 matrix it describes.  Entry v of the n-th vector counts the
-    length-n words ending in v, and entry k is a padding 0.
+    length-n words ending in v.
     """
-    vec = [1] * k + [0]
+    vec = [1] * k
     yield vec
     n = 1
-    memo: dict[SuccTable, list[itemgetter]] = {}
     for pred, last in stints:
-        if pred not in memo:
-            memo[pred] = _gathers(pred)
-        gathers = memo[pred]
         for n in range(n + 1, min(last, n_max) + 1):
-            vec = [sum(g(vec)) for g in gathers]
-            vec.append(0)
+            vec = _step(pred, vec)
             yield vec
 
 
@@ -232,7 +226,7 @@ def count_series(graph: DirectedGraph, n_max: int) -> CountSeries:
     ends = _walk(k, ((graph._pred, n_max),), n_max)
     starts = _walk(k, ((graph._succ, n_max),), n_max)
     rows = tuple(
-        CountRow(n, sum(col), tuple(row[:k]), tuple(col[:k]))
+        CountRow(n, sum(col), tuple(row), tuple(col))
         for n, row, col in zip(range(1, n_max + 1), starts, ends)
     )
     return CountSeries(graph.alphabet, rows)

@@ -14,7 +14,8 @@ paper-examples the two bundled reference experiments, no inputs needed
 Every run writes a manifest plus per-command data tables to --out, as CSV
 (default) or JSON.  Data tables are byte-deterministic for a fixed
 configuration; only the manifest carries a timestamp.  Exact counts are
-always emitted as decimal strings, never as floats.
+always emitted as decimal strings, never as floats.  A failed fit still
+writes entropy-fit's series; the manifest names the failed stage and error.
 """
 
 from __future__ import annotations
@@ -344,7 +345,11 @@ def cmd_entropy_fit(args: argparse.Namespace) -> ExperimentOutput:
         series = entropy_series(combined_count_series(system, args.n_max))
     out = ExperimentOutput(_manifest(args))
     out.tables.append(_entropy_table("entropy_series", series))
-    fit = fit_scaling(series)
+    try:
+        fit = fit_scaling(series)
+    except ValueError as exc:  # too few points: the exact series still stands
+        out.manifest.update(failed_stage="fit", error=str(exc))
+        return out
     res = dict(fit.residuals)
     out.tables.append(Table(
         "entropy_fit",
@@ -446,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     for path in paths:
         print(f"wrote {path}")
+    if "error" in output.manifest:
+        print(f"error: {output.manifest['error']}", file=sys.stderr)
+        return EXIT_ERROR
     if output.manifest.get("strict_bound_failure"):
         return EXIT_STRICT_BOUND
     return EXIT_OK

@@ -16,7 +16,7 @@ the system keeps the vector of its last count, so milestone counts
 taken in ascending order cost one pass along the schedule in all, and
 every long stint of one graph reads the same chain of squares.
 `combined_count_series` walks the schedule stint by stint instead, one
-vector product per letter.
+plain-loop 0/1 matrix-vector product (`census._step`) per letter added.
 
 Unlike the words of one graph, a subword of an admissible combined word
 need not be admissible; `find_inadmissible_subword` finds the first such
@@ -173,7 +173,6 @@ def combined_count_series(system: CombinedSystem, n_max: int) -> list[tuple[int,
     last = system.schedule.stint_index(n_max)  # ScheduleExhaustedError beyond the horizon
     preds = [graph._pred for graph in system.graphs]
     stints = [(preds[(m - 1) % len(preds)], g[m]) for m in range(1, last + 1)]
-    # the padding 0 at index k leaves each sum unchanged
     return [(n, sum(vec)) for n, vec in enumerate(_walk(system.k, stints, n_max), start=1)]
 
 

@@ -44,7 +44,7 @@ from math import gcd
 import numpy as np
 
 from .graphs import Alphabet, DirectedGraph, strongly_connected_components, validate
-from .census import _gathers, count_series
+from .census import _step, count_series
 
 ROOT_TOL = 1e-7     # float distance at which two roots or moduli count as equal
 COEFF_TOL = 1e-8    # relative modulus below which a term is treated as absent
@@ -152,15 +152,14 @@ def _berkowitz(succ: tuple[tuple[int, ...], ...]) -> CharPoly:
     # Step m borders the leading m x m block with row and column m.
     v = [1, -int(0 in succ[0])]
     for m in range(1, len(succ)):
-        block = [[j for j in s if j < m] for s in succ[:m]]
-        row = [j for j in succ[m] if j < m]
+        # the leading block's rows, then row m, each cut to columns < m
+        bordered = [[j for j in s if j < m] for s in succ[: m + 1]]
         # Toeplitz column: 1, -a_mm, -(row @ block^i @ col) for i = 0..m-1
         toep = [1, -int(m in succ[m])]
         w = [int(m in s) for s in succ[:m]]
-        for i in range(m):
-            if i:
-                w = [sum(map(w.__getitem__, b)) for b in block]
-            toep.append(-sum(map(w.__getitem__, row)))
+        for _ in range(m):
+            w = _step(bordered, w)  # block @ w, then row @ w
+            toep.append(-w.pop())
         # v <- (lower-triangular Toeplitz matrix of toep) @ v, one entry longer
         nv = [0] * (m + 2)
         for j, c in enumerate(v):
@@ -202,7 +201,7 @@ def verify_recurrence(graph: DirectedGraph, n_max: int) -> RecurrenceReport:
     B = sum_r |c_r| * k^deg in modulus, and w is chosen with
     2^(w-1) > B.  Each packed column then reads back as k signed base-2^w
     digits, lowest first, and is 0 exactly when the column is.  Horner's
-    rule on u costs one predecessor-list walk of k packed integers per
+    rule on u costs one product `_step` over the k predecessor lists per
     coefficient.
     """
     k = graph.k
@@ -211,14 +210,12 @@ def verify_recurrence(graph: DirectedGraph, n_max: int) -> RecurrenceReport:
     poly = char_poly(graph)
     w = (sum(map(abs, poly.coefficients)) * k ** poly.degree).bit_length() + 1
     u = [1 << (i * w) for i in range(k)]
-    columns = _gathers(graph._pred)
-    packed = u + [0]  # with the padding 0 of `_gathers`
+    packed = u
     for c in poly.coefficients[1:]:
-        packed = [sum(g(packed)) + c * x for g, x in zip(columns, u)]
-        packed.append(0)
+        packed = [s + c * x for s, x in zip(_step(graph._pred, packed), u)]
     half = 1 << (w - 1)
     residual = []
-    for j, x in enumerate(packed[:k]):
+    for j, x in enumerate(packed):
         for i in range(k if x else 0):  # column j as signed base-2^w digits, lowest first
             x, digit = divmod(x + half, 2 * half)
             if digit != half:

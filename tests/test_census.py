@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from symgraph import (
     Alphabet,
+    CombinedSystem,
     DirectedGraph,
     EnumerationCapError,
     count_matrix,
@@ -20,6 +21,8 @@ from symgraph import (
     iter_connected_bitmasks,
     iter_word_sets,
     linear_graph,
+    Schedule,
+    combined_count_series,
     total_count,
     two_cycle_graph,
 )
@@ -103,6 +106,40 @@ class TestCountMatrix:
         for row in rows:
             cm = count_matrix(graph, row.n)
             assert (row.total, row.row_sums, row.col_sums) == (cm.total, cm.row_sums, cm.col_sums)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        graph=random_graphs(8),
+        sinks=st.sets(st.integers(0, 7)),
+        sources=st.sets(st.integers(0, 7)),
+        n_max=st.integers(1, 30),
+    )
+    @example(graph=golden_graph(), sinks={0, 1, 2}, sources=set(), n_max=4)
+    @example(graph=golden_graph(), sinks=set(), sources={0}, n_max=4)
+    def test_rows_have_k_sums_that_add_up(self, graph, sinks, sources, n_max):
+        # letters in sinks lose every outgoing edge, those in sources every incoming one
+        k = graph.k
+        adj = tuple(
+            tuple(int(graph.adjacency[i][j] and i not in sinks and j not in sources)
+                  for j in range(k))
+            for i in range(k)
+        )
+        graph = DirectedGraph(graph.alphabet, adj)
+        for row in count_series(graph, n_max).rows:
+            assert len(row.row_sums) == len(row.col_sums) == k
+            assert row.total == sum(row.row_sums) == sum(row.col_sums)
+
+    def test_complete_eight_letters_exact_to_1500(self):
+        k, n_max = 8, 1500
+        graph = DirectedGraph(Alphabet(tuple("abcdefgh")), ((1,) * k,) * k)
+        rows = count_series(graph, n_max).rows
+        assert [row.n for row in rows] == list(range(1, n_max + 1))
+        for row in rows:
+            per_letter = (k ** (row.n - 1),) * k
+            assert row.total == k ** row.n
+            assert row.row_sums == row.col_sums == per_letter
+        system = CombinedSystem((graph,), Schedule((0, n_max)))
+        assert combined_count_series(system, n_max) == [(row.n, row.total) for row in rows]
 
     def test_semigroup_property(self):
         # composing counts over a split point reproduces the longer count

@@ -408,6 +408,24 @@ class TestEntropyFit:
             (n, total_count(golden_graph(), n)) for n in ((t + 1) ** 4 for t in range(1, 9))
         ]
 
+    def test_failed_fit_still_writes_the_series(self, tmp_path, graph_files, capsys):
+        # three milestones (n = 16, 81, 256) are exact, but too few to fit
+        out = tmp_path / "out"
+        assert main([
+            "entropy-fit", "--graph", graph_files["golden"], "--schedule", "paper",
+            "--t-max", "3", "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: need at least 8 entropy points to fit\n"
+        assert sorted(p.name for p in out.iterdir()) == ["entropy_series.csv", "manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "fit"
+        assert manifest["error"] == "need at least 8 entropy points to fit"
+        rows = [line.split(",") for line in read_tables(out)["entropy_series"].split("\n")[1:-1]]
+        assert [(int(r[0]), int(r[1])) for r in rows] == [
+            (n, total_count(golden_graph(), n)) for n in (16, 81, 256)
+        ]
+
     def test_several_graphs_need_schedule(self, tmp_path, graph_files, capsys):
         assert main([
             "entropy-fit", "--graph", graph_files["golden"], "--graph", graph_files["linear"],

@@ -272,7 +272,7 @@ class TestRecurrence:
                     expected = self.nonzero_entries(value.tolist())
                     assert not report.ok and report.n_max == 40
                     assert report.residual == expected
-                    # the padding slot of the packed vector never reaches the residual
+                    # every residual entry lies inside the k x k matrix
                     assert all(i < graph.k and j < graph.k for i, j, _ in report.residual)
 
     @settings(max_examples=60, deadline=None)
@@ -887,24 +887,27 @@ class TestAlphabetSize:
         k = 48
         adj = tuple(tuple(int(rng.random() < 0.3) for _ in range(k)) for _ in range(k))
         graph = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(k))), adj)
-        gathered = []
+        stepped = []
 
         def forbidden(*args):
             raise AssertionError("Yun's split ran on a certified polynomial")
 
-        def gathers(pred):
-            gathered.append(len(pred))
-            return census._gathers(pred)
+        def step(pred, vec):
+            stepped.append(pred)
+            return census._step(pred, vec)
 
         monkeypatch.setattr(spectral, "_squarefree_factors", forbidden)
-        monkeypatch.setattr(spectral, "_gathers", gathers)
         spectral._root_table.cache_clear()
         start = time.perf_counter()
         form = closed_form(graph)
+        # record the recurrence proof's products only, not Berkowitz's
+        monkeypatch.setattr(spectral, "_step", step)
         report = verify_recurrence(graph, 200)
         elapsed = time.perf_counter() - start
         assert report == RecurrenceReport(True, 200, ())
-        assert gathered == [k]
+        # one product over the k predecessor lists per coefficient below the leading one
+        assert len(stepped) == char_poly(graph).degree == k
+        assert all(pred is graph._pred for pred in stepped)
         assert len(form.terms) == k - char_poly(graph).trailing_zeros
         assert all(term.multiplicity == 1 for term in form.terms)
         assert elapsed < 5.0
