@@ -156,21 +156,6 @@ class CountSeries:
     def totals(self) -> list[tuple[int, int]]:
         return [(r.n, r.total) for r in self.rows]
 
-    def to_csv(self) -> str:
-        syms = self.alphabet.symbols
-        header = (
-            ["n", "omega_total"]
-            + [f"omega_row_{s}" for s in syms]
-            + [f"omega_col_{s}" for s in syms]
-        )
-        lines = [",".join(header)]
-        for r in self.rows:
-            cells = [str(r.n), str(r.total)]
-            cells += [str(v) for v in r.row_sums]
-            cells += [str(v) for v in r.col_sums]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
 
 def count_matrix(graph: DirectedGraph, n: int) -> CountMatrix:
     """Exact census by endpoints: M**(n-1) via repeated squaring."""

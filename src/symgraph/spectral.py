@@ -25,14 +25,11 @@ Yun's algorithm over the integers, with primitive pseudo-remainders.
 The closed-form coefficients are residues of the exact rational
 generating function, read at each float root without a linear solve.
 The growth class of a graph comes from its strongly connected
-components; ties between their Perron roots are decided by integer
-gcds and Sturm counts at dyadic points.  Every exact polynomial is a
-tuple of integers, leading coefficient first.  ROOT_TOL and COEFF_TOL
-remain only for classifying a given closed form and for picking the
-reported rho where several roots share the top modulus.
-The split and the float roots run once per distinct polynomial (with
-its zero roots removed); later calls read the stored, immutable root
-table.
+components; their Perron roots are compared by Sturm counts at dyadic
+points, and the same bisection rounds the largest one to rho.  Every
+exact polynomial is a tuple of integers, leading coefficient first.
+ROOT_TOL and COEFF_TOL serve only the rule that classifies a given
+closed form.
 """
 
 from __future__ import annotations
@@ -46,8 +43,10 @@ import numpy as np
 from .graphs import Alphabet, DirectedGraph, strongly_connected_components, validate
 from .census import _step, count_series
 
-ROOT_TOL = 1e-7     # float distance at which two roots or moduli count as equal
-COEFF_TOL = 1e-8    # relative modulus below which a term is treated as absent
+# for classifying a closed form only: the float distance at which two root
+# moduli count as equal, and the relative modulus below which a term is absent
+ROOT_TOL = 1e-7
+COEFF_TOL = 1e-8
 
 EXPONENTIAL = "exponential"
 POLYNOMIAL = "polynomial"
@@ -327,7 +326,7 @@ def _squarefree_mod_p(p: Poly) -> bool:
     p and p' in Z[x].  Its leading coefficient divides p's, so modulo P
     it keeps its positive degree and divides both reductions, and their
     gcd is not a constant.  A False answer proves nothing; the caller
-    then runs Yun's algorithm.
+    then takes the gcd exactly, by Yun's algorithm or in _sturm_chain.
     """
     n = len(p) - 1
     a = [c % _P for c in p]
@@ -350,57 +349,88 @@ def _squarefree_mod_p(p: Poly) -> bool:
 
 
 def _sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm sequence, up to positive factors, of p's square-free part."""
-    p = _quo(p, _gcd(p, _deriv(p)))
+    """Sturm sequence, up to positive factors, of p's square-free part.
+
+    A p certified square-free is its own square-free part, so the gcd
+    with p' runs only on the others; p's leading coefficient must not be
+    a multiple of 2^61 - 1, as no monic product's is.
+    """
+    if not _squarefree_mod_p(p):
+        p = _quo(p, _gcd(p, _deriv(p)))
     chain = [p, _deriv(p)]
     while len(chain[-1]) > 1:
         chain.append(tuple(-c for c in _rem(chain[-2], chain[-1])))
     return chain
 
 
+def _scaled_value(q: Poly, num: int, shift: int) -> int:
+    """The integer 2**(shift * deg q) * q(num / 2**shift), by Horner's rule."""
+    v, scale = q[0], 1
+    for c in q[1:]:
+        scale <<= shift
+        v = v * num + c * scale
+    return v
+
+
 def _roots_above(chain: list[Poly], num: int, shift: int) -> int:
     """Number of distinct real roots above num / 2**shift (Sturm's theorem).
 
-    There q has the sign of the integer 2**(shift * deg q) * q(num / 2**shift),
-    which Horner's rule computes.
+    There q has the sign of _scaled_value(q, num, shift).
     """
     def changes(signs: list[bool]) -> int:
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    values = []
-    for q in chain:
-        v, scale = q[0], 1
-        for c in q[1:]:
-            scale <<= shift
-            v = v * num + c * scale
-        values.append(v)
+    values = [_scaled_value(q, num, shift) for q in chain]
     return changes([v > 0 for v in values if v]) - changes([q[0] > 0 for q in chain if q[0]])
 
 
 @lru_cache(maxsize=1024)
-def _top_owners(polys: tuple[Poly, ...]) -> tuple[int, ...]:
-    """Indices of the polynomials whose largest real root is the largest of all.
+def _top_owners(polys: tuple[Poly, ...]) -> tuple[tuple[int, ...], float]:
+    """The polynomials whose largest real root is the largest of all, and that root.
 
     Every root of each polynomial is a root of their product.  Bisection
-    from Cauchy's bound, rounded up to an integer, isolates the product's
-    largest real root in a dyadic interval (lo, hi] that holds no other
-    root; a polynomial owns that root exactly when it has a root above
-    lo.  At least one polynomial must have a real root.
+    from Fujiwara's bound on the root moduli, 2 max_i |c_i / c_0|^(1/i),
+    rounded up to a power of two, isolates the product's largest real
+    root r in a dyadic interval (lo, hi] that holds no other root; a
+    polynomial owns r exactly when it has a root above lo.  There r is a
+    simple root of the chain's first polynomial, which has the sign of
+    its leading coefficient from r up and the other sign below, so each
+    further halving reads that one sign, until lo and hi round to the same
+    double.  Python's int / int is correctly rounded and rounding is
+    monotone, so that double is r correctly rounded.  The halving ends
+    because r is no rounding midpoint: a rational root of a monic integer
+    polynomial is an integer, at most k < 2**53 for a graph's, and an
+    irrational r is no dyadic number.  At least one polynomial must have
+    a real root.
     """
     product = polys[0]
     for p in polys[1:]:
         product = _mul(product, p)
     chain = _sturm_chain(product)
-    lead = abs(chain[0][0])
+    first, up = chain[0], chain[0][0] > 0
+    e = 1  # 2**e bounds the moduli: (2**(e-1))**i * |c_0| >= |c_i| for every i
+    while any(abs(c) > abs(first[0]) << (e - 1) * i for i, c in enumerate(first[1:], 1)):
+        e += 1
     # the endpoints are lo / 2**shift and hi / 2**shift
-    hi = 1 + max(-(-abs(c) // lead) for c in chain[0][1:])
-    lo, shift = -hi, 0
-    while _roots_above(chain, lo, shift) > 1:
+    lo, hi, shift = -(1 << e), 1 << e, 0
+    above = _roots_above(chain, lo, shift)
+    while above > 1 or lo / (1 << shift) != hi / (1 << shift):
         if hi - lo == 1:
             lo, hi, shift = 2 * lo, 2 * hi, shift + 1
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _roots_above(chain, mid, shift) else (lo, mid)
-    return tuple(i for i, p in enumerate(polys) if _roots_above(_sturm_chain(p), lo, shift))
+        if above > 1:
+            count = _roots_above(chain, mid, shift)
+        else:  # r alone is left in (lo, hi]: is it above mid?
+            v = _scaled_value(first, mid, shift)
+            count = int(v != 0 and (v > 0) != up)
+        if count:
+            lo, above = mid, count
+        else:
+            hi = mid
+    rho = hi / (1 << shift)
+    if len(polys) == 1:
+        return (0,), rho
+    return tuple(i for i, p in enumerate(polys) if _roots_above(_sturm_chain(p), lo, shift)), rho
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +460,10 @@ class ClosedForm:
 
 def _roots_with_multiplicity(poly: CharPoly) -> tuple[tuple[complex, int], ...]:
     """Nonzero roots with exact multiplicities, by decreasing modulus."""
+    # A square-free polynomial is its own single factor, as Yun's
+    # algorithm would return it; Yun's factors are pairwise coprime, so
+    # no root appears in two of them.
     reduced = poly.coefficients[: len(poly.coefficients) - poly.trailing_zeros]
-    return _root_table(reduced)
-
-
-@lru_cache(maxsize=1024)
-def _root_table(reduced: tuple[int, ...]) -> tuple[tuple[complex, int], ...]:
-    # Many graphs share a polynomial (333 distinct among the 61,344
-    # connected 4-vertex digraphs), so the exact split and the float
-    # roots run once per polynomial.  A square-free polynomial is its own
-    # single factor, as Yun's algorithm would return it; Yun's factors
-    # are pairwise coprime, so no root appears in two of them.
     if _squarefree_mod_p(reduced):
         factors = [(reduced, 1)]
     else:
@@ -539,10 +562,10 @@ def classify_growth(source: DirectedGraph | ClosedForm) -> GrowthClass:
     minus 1.  A component has radius 0 when it is one vertex without a
     loop, radius 1 when it is one simple cycle, and a larger radius
     otherwise.  Components of radius above 1 are compared by their exact
-    Perron roots.  The class needs no counts, closed form or float; a rho
-    above 1 is reported as the largest root modulus of the memoized root
-    table, and only where several roots share that modulus does it read
-    their residues (see _reported_rho).
+    Perron roots, the largest real roots of their polynomials, and the
+    same Sturm bisection rounds the winning root to the reported rho (see
+    _top_owners).  The class and rho need no counts, closed form, float
+    root or tolerance.
 
     For a closed form, terms whose coefficient modulus is below COEFF_TOL
     (relative to the largest coefficient) do not participate: rho is the
@@ -566,10 +589,11 @@ def classify_growth(source: DirectedGraph | ClosedForm) -> GrowthClass:
     if top_radius == 0:
         return GrowthClass(POLYNOMIAL, 0.0, 0)
     top = [r == top_radius for r in radii]
-    if top_radius == 2 and top.count(True) > 1:
+    if top_radius == 2:
         # each component's Perron root is the largest real root of its polynomial
         ids = [c for c, t in enumerate(top) if t]
-        winners = {ids[i] for i in _top_owners(tuple(_component_poly(succ, comps[c]) for c in ids))}
+        owners, rho = _top_owners(tuple(_component_poly(succ, comps[c]) for c in ids))
+        winners = {ids[i] for i in owners}
         top = [c in winners for c in range(len(comps))]
     # comps come successors first, so each chain extends chains already known
     owner = [0] * graph.k
@@ -583,24 +607,7 @@ def classify_growth(source: DirectedGraph | ClosedForm) -> GrowthClass:
     degree = max(chain) - 1
     if top_radius == 1:
         return GrowthClass(POLYNOMIAL, 1.0, degree)
-    return GrowthClass(MIXED if degree else EXPONENTIAL, _reported_rho(graph), degree)
-
-
-def _reported_rho(graph: DirectedGraph) -> float:
-    """Largest root modulus, as the closed form's classification reports it.
-
-    Where several roots share the top modulus, only those whose closed-
-    form coefficient survives count, so the residues at those roots alone
-    are read.  This picks a reported value, not the class.
-    """
-    poly = char_poly(graph)
-    table = _roots_with_multiplicity(poly)
-    peak = abs(table[0][0])
-    shared = [(r, m) for r, m in table if peak - abs(r) <= ROOT_TOL]
-    if len(shared) == 1:
-        return peak
-    num = _numerator(graph, poly)
-    return _classify_terms(tuple(_term(num, poly.coefficients, r, m) for r, m in shared)).rho
+    return GrowthClass(MIXED if degree else EXPONENTIAL, rho, degree)
 
 
 def _classify_terms(terms: tuple[ClosedFormTerm, ...]) -> GrowthClass:

@@ -427,18 +427,3 @@ class TestClosedFormTables:
             cm = count_matrix(g, n)
             assert cm.entry("X", "X") > cm.entry("X", "Z")
             assert cm.entry("Z", "X") > cm.entry("Z", "Z")
-
-    def test_csv_export_roundtrip(self):
-        series = count_series(golden_graph(), 40)
-        text = series.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == (
-            "n,omega_total,omega_row_X,omega_row_Y,omega_row_Z,"
-            "omega_col_X,omega_col_Y,omega_col_Z"
-        )
-        for line, row in zip(lines[1:], series.rows):
-            cells = line.split(",")
-            assert int(cells[0]) == row.n
-            assert int(cells[1]) == row.total
-            assert tuple(int(c) for c in cells[2:5]) == row.row_sums
-            assert tuple(int(c) for c in cells[5:8]) == row.col_sums

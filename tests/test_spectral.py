@@ -5,6 +5,7 @@ import math
 import random
 import time
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,6 +108,33 @@ def chain_witness_graph():
     """Two looped 2-cliques in a chain: counts grow like n * 2**n."""
     adj = ((1, 1, 1, 0), (1, 1, 0, 0), (0, 0, 1, 1), (0, 0, 1, 1))
     return DirectedGraph(Alphabet(("A", "B", "C", "D")), adj)
+
+
+def golden_tie_graph():
+    """A golden block feeding its own edge graph: two components with Perron root mu."""
+    return graph_from_edges(
+        ("a", "b", "aa", "ab", "ba"),
+        [("a", "a"), ("a", "b"), ("b", "a"), ("b", "aa"),
+         ("aa", "aa"), ("aa", "ab"), ("ab", "ba"), ("ba", "aa"), ("ba", "ab")],
+    )
+
+
+def sympy_rho(adj):
+    """The spectral radius of a 0/1 matrix, correctly rounded, from sympy.
+
+    By Perron-Frobenius it is the largest real root of the characteristic
+    polynomial; 60 digits of it round to the same double as the root.
+    """
+    x = sympy.Symbol("x")
+    root = max(sympy.real_roots(sympy.Poly(sympy.Matrix(adj).charpoly(x).as_expr(), x)))
+    return float(Fraction(str(sympy.N(root, 60))))
+
+
+def complete_graph_examples(test):
+    """The complete graphs on 2..16 letters, whose rho, the integer k, is a double."""
+    for k in range(2, 17):
+        test = example(adj=((1,) * k,) * k)(test)
+    return test
 
 
 class TestCharPoly:
@@ -450,8 +478,7 @@ class TestSquareFreeCertificate:
         # graph's reduced polynomial is the constant 1, with no roots
         reduced = reduced_coefficients(adj)
         expected = root_table_by_yun(reduced)
-        assert spectral._root_table.__wrapped__(reduced) == expected
-        assert spectral._root_table(reduced) == expected
+        assert spectral._roots_with_multiplicity(CharPoly(reduced)) == expected
         if reduced == (1,):
             assert expected == ()
 
@@ -466,8 +493,8 @@ class TestSquareFreeCertificate:
             raise AssertionError("Yun's split ran on a certified polynomial")
 
         monkeypatch.setattr(spectral, "_squarefree_factors", forbidden)
-        assert spectral._root_table.__wrapped__(reduced) == expected
-        assert spectral._root_table.__wrapped__((1,)) == ()
+        assert spectral._roots_with_multiplicity(CharPoly(reduced)) == expected
+        assert spectral._roots_with_multiplicity(CharPoly((1,))) == ()
 
 
 class TestIntegerAlgebraAgainstSympy:
@@ -497,7 +524,21 @@ class TestIntegerAlgebraAgainstSympy:
         assume(any(t is not None for t in tops))
         top = max(t for t in tops if t is not None)
         want = tuple(i for i, t in enumerate(tops) if t is not None and t == top)
-        assert spectral._top_owners(tuple(polys)) == want
+        assert spectral._top_owners(tuple(polys))[0] == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(polys=st.lists(
+        integer_polynomials(monic=True).filter(lambda p: len(p) <= 9), min_size=1, max_size=3,
+    ))
+    @example(polys=[(1, -3)])  # an integer root, an exact double
+    @example(polys=[(1, 5, 6)])  # the largest real root is negative, -2
+    @example(polys=[(1, -2, 1), (1, 0, -2)])  # sqrt(2) beats the double root 1
+    def test_top_owners_rho_is_the_rounded_largest_real_root(self, polys):
+        x = sympy.Symbol("x")
+        roots = [r for p in polys for r in sympy.real_roots(sympy.Poly(p, x))]
+        assume(roots)
+        want = float(Fraction(str(sympy.N(max(roots), 60))))
+        assert spectral._top_owners(tuple(polys))[1] == want
 
 
 class TestClosedForm:
@@ -678,21 +719,26 @@ class TestStructuralClass:
         got = classify_growth(g)
         want = classify_growth(closed_form(g))
         assert (got.kind, got.poly_degree) == (want.kind, want.poly_degree)
-        assert got.rho == want.rho
+        assert got.rho == sympy_rho(adj)
+
+    @settings(max_examples=150, deadline=None)
+    @given(adj=dense_or_sparse_matrices(8))
+    @complete_graph_examples
+    @example(adj=chain_witness_graph().adjacency)  # 2.0, owned by two blocks
+    @example(adj=golden_tie_graph().adjacency)  # mu, owned by two different polynomials
+    def test_rho_is_the_correctly_rounded_perron_root(self, adj):
+        g = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(len(adj)))), adj)
+        assert classify_growth(g).rho == sympy_rho(adj)
 
     def test_exact_tie_between_different_polynomials(self):
         # a golden block feeding its own edge graph: both have Perron root
         # mu, from x^2 - x - 1 and x^3 - x^2 - x, so mu is counted twice
-        g = graph_from_edges(
-            ("a", "b", "aa", "ab", "ba"),
-            [("a", "a"), ("a", "b"), ("b", "a"), ("b", "aa"),
-             ("aa", "aa"), ("aa", "ab"), ("ab", "ba"), ("ba", "aa"), ("ba", "ab")],
-        )
+        g = golden_tie_graph()
         comps = strongly_connected_components(g)
         assert comps == ((2, 3, 4), (0, 1))
         polys = [spectral._component_poly(g._succ, c) for c in comps]
         assert polys[0] != polys[1]
-        assert spectral._top_owners(tuple(polys)) == (0, 1)
+        assert spectral._top_owners(tuple(polys))[0] == (0, 1)
         growth = classify_growth(g)
         assert (growth.kind, growth.poly_degree) == (MIXED, 1)
         assert abs(growth.rho - MU) < 1e-12
@@ -740,18 +786,20 @@ class TestStructuralClass:
         rp, rq = (max(sympy.real_roots(sympy.Poly(c, x))) for c in (p, q))
         assert rp < rq
         assert 0 < float(rq - rp) < 1e-12
-        assert spectral._top_owners((p, q)) == (1,)
-        assert spectral._top_owners((q, p)) == (0,)
-        assert spectral._top_owners((p, q, p)) == (1,)
+        assert spectral._top_owners((p, q))[0] == (1,)
+        assert spectral._top_owners((q, p))[0] == (0,)
+        assert spectral._top_owners((p, q, p))[0] == (1,)
 
     def test_runs_no_count_series_and_no_residues(self, monkeypatch):
         def forbidden(*args, **kwargs):
-            raise AssertionError("the structural class must not compute counts or residues")
+            raise AssertionError("the structural class must not compute counts, residues or roots")
 
         monkeypatch.setattr(census, "count_series", forbidden)
         monkeypatch.setattr(spectral, "count_series", forbidden)
         monkeypatch.setattr(spectral, "closed_form", forbidden)
         monkeypatch.setattr(spectral, "_w_series", forbidden)
+        monkeypatch.setattr(spectral, "char_poly", forbidden)
+        monkeypatch.setattr(spectral, "_roots_with_multiplicity", forbidden)
         golden = classify_growth(golden_graph())
         assert (golden.kind, golden.poly_degree) == (EXPONENTIAL, 0)
         assert abs(golden.rho - MU) < 1e-12
@@ -775,10 +823,10 @@ class TestScan:
         assert report.mixed_strongly_connected == ()
 
     def test_k3_deterministic_and_no_strong_mixed(self):
-        # the digest of the table written before polynomials and roots were memoized
+        # the digest of the table with every rho the correctly rounded Perron root
         report = conjecture_scan(3)
         assert hashlib.sha256(report.to_csv().encode()).hexdigest() == (
-            "753ac2ecf15cce07eb974d74f8722069cf6e408462966f659ebd0f60141f4b2f"
+            "4692c0d0515d8d0c88dfbae86335c92aeb8e1ef8339d04a03241c24543ba8505"
         )
         assert report.mixed_strongly_connected == ()
         assert report.candidates_by_k == ((1, 2), (2, 16), (3, 512))
@@ -836,7 +884,7 @@ class TestScan:
         # the digest of `symgraph scan --k-max 4`'s scan_table.csv, which
         # writes the same bytes
         assert hashlib.sha256(report.to_csv().encode()).hexdigest() == (
-            "ec637583be614515484a33637f01d2d9a8e9474f7086cb9dd4d28e1004295014"
+            "7f24f327a0b60daae6765fc0ec4b9cb0f85dabee83f1383dc456953ff0ff12a5"
         )
         target = chain_witness_graph()
         mask = sum(
@@ -897,7 +945,6 @@ class TestAlphabetSize:
             return census._step(pred, vec)
 
         monkeypatch.setattr(spectral, "_squarefree_factors", forbidden)
-        spectral._root_table.cache_clear()
         start = time.perf_counter()
         form = closed_form(graph)
         # record the recurrence proof's products only, not Berkowitz's
@@ -921,18 +968,3 @@ class TestNumericalGuards:
         assert len(roots) == 3
         assert all(m == 1 for _, m in roots)
 
-    def test_root_table_cache_cannot_be_corrupted(self):
-        from symgraph import CharPoly
-        from symgraph.spectral import _roots_with_multiplicity
-        poly = CharPoly((1, -2, 2, -1))
-        first = _roots_with_multiplicity(poly)
-        kept = list(first)
-        with pytest.raises((TypeError, AttributeError)):
-            first[0] = (0j, 9)
-        with pytest.raises((TypeError, AttributeError)):
-            first.append((0j, 9))
-        hits = spectral._root_table.cache_info().hits
-        assert _roots_with_multiplicity(poly) == tuple(kept)
-        assert spectral._root_table.cache_info().hits == hits + 1
-        # trailing zero roots do not enter the key: x * chi shares chi's table
-        assert _roots_with_multiplicity(CharPoly((1, -2, 2, -1, 0))) is first
