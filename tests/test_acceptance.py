@@ -252,11 +252,12 @@ def test_criterion_09_entropy_estimates():
 
 def test_criterion_10_scan_deterministic():
     r1 = conjecture_scan(3)
-    # drop the memoized components, block polynomials and Perron roots, so
-    # the second run recomputes
+    # drop the memoized components, block polynomials, Perron roots and
+    # growth classes, so the second run recomputes
     graphs._components.cache_clear()
     spectral._berkowitz.cache_clear()
     spectral._top_owners.cache_clear()
+    spectral._CLASSES.clear()
     r2 = conjecture_scan(3)
     identical = r1.to_csv().encode() == r2.to_csv().encode()
     no_strong_mixed = r1.mixed_strongly_connected == ()

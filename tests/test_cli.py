@@ -349,11 +349,12 @@ class TestScan:
     def test_k3_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["scan", "--k-max", "3", "--out", str(out1)]) == 0
-        # drop the memoized components, block polynomials and Perron roots, so
-        # the second run recomputes
+        # drop the memoized components, block polynomials, Perron roots and
+        # growth classes, so the second run recomputes
         graphs._components.cache_clear()
         spectral._berkowitz.cache_clear()
         spectral._top_owners.cache_clear()
+        spectral._CLASSES.clear()
         assert main(["scan", "--k-max", "3", "--out", str(out2)]) == 0
         t1 = (out1 / "scan_table.csv").read_bytes()
         t2 = (out2 / "scan_table.csv").read_bytes()

@@ -110,6 +110,51 @@ def chain_witness_graph():
     return DirectedGraph(Alphabet(("A", "B", "C", "D")), adj)
 
 
+def relabeled(adj, perm):
+    """The graph with edge perm[i] -> perm[j] for each edge i -> j of adj."""
+    k = len(adj)
+    out = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            out[perm[i]][perm[j]] = adj[i][j]
+    return DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(k))), tuple(map(tuple, out)))
+
+
+def canonical_masks(k, masks):
+    """Least row-major bitmask over all k! relabelings, as numpy bit permutations."""
+    masks = np.asarray(masks, dtype=np.int64)
+    least = np.full(len(masks), 1 << (k * k), dtype=np.int64)
+    for perm in itertools.permutations(range(k)):
+        image = np.zeros_like(masks)
+        for i in range(k):
+            for j in range(k):
+                image |= (masks >> (i * k + j) & 1) << (perm[i] * k + perm[j])
+        least = np.minimum(least, image)
+    return least.tolist()
+
+
+@pytest.fixture(scope="module")
+def k4_scan():
+    """conjecture_scan(4) from an empty class memo: the report, Berkowitz runs per size, the memo.
+
+    A fresh Berkowitz memo of the same size counts its misses, which run
+    the unmemoized scheme.
+    """
+    runs = Counter()
+    memo = spectral._berkowitz
+
+    def counted(succ):
+        runs[len(succ)] += 1
+        return memo.__wrapped__(succ)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_berkowitz", functools.lru_cache(memo.cache_info().maxsize)(counted))
+        mp.setattr(spectral, "_CLASSES", {})
+        report = conjecture_scan(4)
+        classes = dict(spectral._CLASSES)
+    return report, runs, classes
+
+
 def golden_tie_graph():
     """A golden block feeding its own edge graph: two components with Perron root mu."""
     return graph_from_edges(
@@ -867,20 +912,8 @@ class TestScan:
             if row.rho > 0:
                 assert any(t.multiplicity == 1 and abs(t.root.imag) < 1e-7 for t in dominant)
 
-    def test_k4_scan_reports_chain_witness(self, monkeypatch):
-        # count the Berkowitz runs: a fresh memo of the same size, whose
-        # misses run the unmemoized scheme
-        runs = Counter()
-        memo = spectral._berkowitz
-
-        def counted(succ):
-            runs[len(succ)] += 1
-            return memo.__wrapped__(succ)
-
-        monkeypatch.setattr(
-            spectral, "_berkowitz", functools.lru_cache(memo.cache_info().maxsize)(counted)
-        )
-        report = conjecture_scan(4)
+    def test_k4_scan_reports_chain_witness(self, k4_scan):
+        report, runs, _ = k4_scan
         # the digest of `symgraph scan --k-max 4`'s scan_table.csv, which
         # writes the same bytes
         assert hashlib.sha256(report.to_csv().encode()).hexdigest() == (
@@ -900,10 +933,71 @@ class TestScan:
         # conjecture: no mixed growth among strongly connected graphs
         assert report.mixed_strongly_connected == ()
         # only a strongly connected graph runs Berkowitz on all 4 vertices,
-        # once, to report its rho; the others multiply memoized blocks
+        # to report its rho, and only the first of its isomorphism class;
+        # the others multiply memoized blocks
         exponential = [r for r in report.rows if r.k == 4 and r.rho > 1]
         assert len(exponential) == 51_152
-        assert runs[4] == sum(r.strongly_connected for r in exponential) == 25_690
+        strong = [r.bitmask for r in exponential if r.strongly_connected]
+        assert len(strong) == 25_690
+        assert runs[4] == len(set(canonical_masks(4, strong))) == 1_167
+
+    def test_class_memo_holds_one_entry_per_class(self, k4_scan):
+        report, _, classes = k4_scan
+        keys = {
+            (k, least)
+            for k in (1, 2, 3, 4)
+            for least in canonical_masks(k, list(iter_connected_bitmasks(k)))
+        }
+        assert set(classes) == keys and len(keys) == 2_912
+        # every labeled row reads the class of its canonical form
+        for k in (1, 2, 3, 4):
+            rows = [r for r in report.rows if r.k == k]
+            for row, least in zip(rows, canonical_masks(k, [r.bitmask for r in rows])):
+                growth = classes[k, least]
+                assert (row.kind, row.rho, row.poly_degree) == (
+                    growth.kind, growth.rho, growth.poly_degree
+                )
+
+    @settings(max_examples=80, deadline=None)
+    @given(adj=dense_or_sparse_matrices(4), data=st.data())
+    @example(adj=((0,),), data=None)
+    @example(adj=((0, 0, 0), (0, 0, 0), (0, 0, 0)), data=None)
+    @example(adj=((1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (0, 0, 1, 1)), data=None)
+    def test_class_memo_is_relabeling_invariant(self, adj, data):
+        # edgeless and disconnected graphs included: each relabeling,
+        # classified on a cleared memo, gives the class the memo returns
+        # for it once any relabeling has filled it
+        k = len(adj)
+        perms = [tuple(range(k)), tuple(reversed(range(k)))]
+        if data is not None:
+            perms += data.draw(st.lists(st.permutations(range(k)), min_size=1, max_size=6))
+        graphs = [relabeled(adj, perm) for perm in perms]
+        fresh = []
+        for g in graphs:
+            spectral._CLASSES.clear()
+            fresh.append(classify_growth(g))
+        spectral._CLASSES.clear()
+        memoized = [classify_growth(g) for g in reversed(graphs)][::-1]
+        assert len(spectral._CLASSES) == 1
+        assert memoized == fresh
+        assert all(growth is memoized[0] for growth in memoized)
+
+    def test_five_letters_bypass_the_class_memo(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_CLASSES", {})
+        tables = spectral._relabelings.cache_info().currsize
+        g = graph_from_edges("ABCDE", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"),
+                                       ("E", "A"), ("A", "C")])
+        growth = classify_growth(g)
+        assert growth.kind == EXPONENTIAL and growth.rho > 1
+        assert classify_growth(g) == growth
+        assert spectral._CLASSES == {}
+        assert spectral._relabelings.cache_info().currsize <= tables
+
+    def test_connected_bitmasks_reject_k_outside_1_to_4(self):
+        # k = 5 would loop over 2**25 masks: check only that it raises
+        for k in (0, -1, 5):
+            with pytest.raises(ValueError, match="k must be between 1 and 4"):
+                next(iter_connected_bitmasks(k))
 
     def test_graph_from_bitmask_rejects_k_outside_1_to_4(self):
         for k in (0, 5, -1):
