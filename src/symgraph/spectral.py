@@ -587,7 +587,7 @@ def classify_growth(source: DirectedGraph | ClosedForm) -> GrowthClass:
     if isinstance(source, ClosedForm):
         return _classify_terms(source.terms)
     k = source.k
-    if k > 4:
+    if k not in _SCAN_ROWS:
         return _classify_graph(source)
     row_bits, tables = _relabelings(k)
     mask = 0

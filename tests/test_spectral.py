@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -131,6 +132,22 @@ def canonical_masks(k, masks):
                 image |= (masks >> (i * k + j) & 1) << (perm[i] * k + perm[j])
         least = np.minimum(least, image)
     return least.tolist()
+
+
+@contextlib.contextmanager
+def fresh_class_memo():
+    """An empty class memo for the block, so classify_growth classifies every graph anew."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_CLASSES", {})
+        yield
+
+
+@pytest.fixture(autouse=True)
+def _fresh_class_memo():
+    # each test starts from an empty class memo and leaves the global one
+    # as it was, so no test reads a class an earlier test stored
+    with fresh_class_memo():
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -729,7 +746,8 @@ class TestClassify:
                     tuple(g.adjacency[perm[i]][perm[j]] for j in range(k)) for i in range(k)
                 )
                 relabeled = DirectedGraph(Alphabet(tuple("PQRS"[:k])), adj)
-                got = classify_growth(relabeled)
+                with fresh_class_memo():
+                    got = classify_growth(relabeled)
                 assert got.kind == base.kind
                 assert abs(got.rho - base.rho) < 1e-9
                 assert got.poly_degree == base.poly_degree
@@ -761,7 +779,8 @@ class TestStructuralClass:
         # the float rule on the closed form is an independent route; its one
         # known failure, the chain of 12 loops (see above), lies beyond k = 8
         g = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(len(adj)))), adj)
-        got = classify_growth(g)
+        with fresh_class_memo():
+            got = classify_growth(g)
         want = classify_growth(closed_form(g))
         assert (got.kind, got.poly_degree) == (want.kind, want.poly_degree)
         assert got.rho == sympy_rho(adj)
@@ -773,7 +792,8 @@ class TestStructuralClass:
     @example(adj=golden_tie_graph().adjacency)  # mu, owned by two different polynomials
     def test_rho_is_the_correctly_rounded_perron_root(self, adj):
         g = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(len(adj)))), adj)
-        assert classify_growth(g).rho == sympy_rho(adj)
+        with fresh_class_memo():
+            assert classify_growth(g).rho == sympy_rho(adj)
 
     def test_exact_tie_between_different_polynomials(self):
         # a golden block feeding its own edge graph: both have Perron root
@@ -853,6 +873,8 @@ class TestStructuralClass:
         assert (witness.kind, witness.poly_degree) == (MIXED, 1)
         assert abs(witness.rho - 2.0) < 1e-12
         assert classify_growth(loop_chain_graph(12)) == GrowthClass(POLYNOMIAL, 1.0, 11)
+        # the three small graphs were classified here, not read from the memo
+        assert len(spectral._CLASSES) == 3
 
 
 class TestScan:
@@ -974,16 +996,15 @@ class TestScan:
         graphs = [relabeled(adj, perm) for perm in perms]
         fresh = []
         for g in graphs:
-            spectral._CLASSES.clear()
-            fresh.append(classify_growth(g))
-        spectral._CLASSES.clear()
-        memoized = [classify_growth(g) for g in reversed(graphs)][::-1]
-        assert len(spectral._CLASSES) == 1
+            with fresh_class_memo():
+                fresh.append(classify_growth(g))
+        with fresh_class_memo():
+            memoized = [classify_growth(g) for g in reversed(graphs)][::-1]
+            assert len(spectral._CLASSES) == 1
         assert memoized == fresh
         assert all(growth is memoized[0] for growth in memoized)
 
-    def test_five_letters_bypass_the_class_memo(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_CLASSES", {})
+    def test_five_letters_bypass_the_class_memo(self):
         tables = spectral._relabelings.cache_info().currsize
         g = graph_from_edges("ABCDE", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"),
                                        ("E", "A"), ("A", "C")])
