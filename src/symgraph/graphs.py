@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, compress, filterfalse
+from itertools import compress, filterfalse
 
 from .intmat import IntMatrix
 
@@ -80,11 +80,15 @@ class DirectedGraph:
         k, adj = self.alphabet.k, self.adjacency
         if len(adj) != k or any(len(row) != k for row in adj):
             raise GraphSpecError(f"adjacency must be {k}x{k}")
-        for entry in filterfalse((0, 1).__contains__, chain.from_iterable(adj)):
-            raise GraphSpecError(f"adjacency entries must be 0 or 1, got {entry!r}")
-        cols = range(k)
-        object.__setattr__(self, "_succ", tuple(tuple(compress(cols, row)) for row in adj))
-        object.__setattr__(self, "_pred", tuple(tuple(compress(cols, col)) for col in zip(*adj)))
+        try:
+            succ = tuple(map(_indices, map(tuple, adj)))
+            pred = tuple(map(_indices, zip(*adj)))
+        except TypeError:
+            # an unhashable entry cannot key the memo: check and build without it
+            succ = tuple(map(_indices.__wrapped__, adj))
+            pred = tuple(map(_indices.__wrapped__, zip(*adj)))
+        object.__setattr__(self, "_succ", succ)
+        object.__setattr__(self, "_pred", pred)
 
     @property
     def k(self) -> int:
@@ -103,6 +107,16 @@ class DirectedGraph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as index pairs, row-major order."""
         return [(i, j) for i in range(self.k) for j in range(self.k) if self.adjacency[i][j]]
+
+
+@lru_cache(maxsize=256)
+def _indices(row: tuple) -> tuple[int, ...]:
+    """Positions of the 1 entries of a 0/1 row or column, checking every entry."""
+    # a k <= 4 graph has at most 16 distinct rows; rows of larger graphs
+    # rarely repeat, so a memo sized by the number of graphs would only hold them
+    for entry in filterfalse((0, 1).__contains__, row):
+        raise GraphSpecError(f"adjacency entries must be 0 or 1, got {entry!r}")
+    return tuple(compress(range(len(row)), row))
 
 
 @dataclass(frozen=True)
@@ -192,7 +206,7 @@ def strongly_connected_components(graph: DirectedGraph) -> tuple[tuple[int, ...]
 
 @lru_cache(maxsize=128)
 def _components(succ: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    # keyed by the successor lists, so validate and classify_growth on one
+    # keyed by the successor lists, so char_poly and classify_growth on one
     # graph share one run
     k = len(succ)
     reach = [1 << v | sum(1 << j for j in s) for v, s in enumerate(succ)]
@@ -212,30 +226,43 @@ def _components(succ: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...
     return tuple(comp for _, comp in found)
 
 
+def _reach(lists: tuple[tuple[int, ...], ...]) -> int:
+    """Bitmask of the vertices reached from vertex 0, where vertex i leads to lists[i]."""
+    seen, stack = 1, [0]
+    while stack:
+        for j in lists[stack.pop()]:
+            if not seen >> j & 1:
+                seen |= 1 << j
+                stack.append(j)
+    return seen
+
+
+def _strongly_connected(
+    succ: tuple[tuple[int, ...], ...], pred: tuple[tuple[int, ...], ...]
+) -> bool:
+    """Vertex 0 reaches every vertex along the arrows and against them: one component."""
+    full = (1 << len(succ)) - 1
+    return _reach(succ) == full == _reach(pred)
+
+
 def validate(graph: DirectedGraph) -> GraphDiagnostics:
     """Pure structural report; callers decide what to reject.
 
-    Weak connectivity is computed on the undirected shadow (an isolated
-    vertex disconnects), strong connectivity on the digraph itself.
-    Absorbing states are vertices with no outgoing edge besides a
-    possible self-loop.
+    Weak connectivity is a flood fill from vertex 0 on the undirected
+    shadow (an isolated vertex disconnects); strong connectivity is the
+    same fill along the arrows and against them, each of which must reach
+    every vertex.  Absorbing states are vertices with no outgoing edge
+    besides a possible self-loop.
     """
-    k = graph.k
-    # undirected neighbours as vertex bitmasks; an empty mask is an isolated vertex
-    nbrs = [sum(1 << j for j in s) | sum(1 << j for j in p)
-            for s, p in zip(graph._succ, graph._pred)]
-    # flood fill from vertex 0 until the reached set stops growing
-    seen, reach = 0, 1
-    while reach != seen:
-        seen = reach
-        for i, mask in enumerate(nbrs):
-            if seen >> i & 1:
-                reach |= mask
-    weakly = all(nbrs) and seen == (1 << k) - 1
-    strongly = len(strongly_connected_components(graph)) == 1
+    succ, pred = graph._succ, graph._pred
+    strongly = _strongly_connected(succ, pred)
+    # undirected neighbours; an empty list is an isolated vertex.  What
+    # vertex 0 reaches along the arrows it reaches in the shadow too.
+    nbrs = [s + p for s, p in zip(succ, pred)]
+    weakly = all(nbrs) and (strongly or _reach(nbrs) == (1 << graph.k) - 1)
     absorbing = tuple(
         sym
-        for i, (sym, s) in enumerate(zip(graph.alphabet.symbols, graph._succ))
+        for i, (sym, s) in enumerate(zip(graph.alphabet.symbols, succ))
         if not s or s == (i,)
     )
     return GraphDiagnostics(

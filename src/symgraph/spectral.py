@@ -45,6 +45,7 @@ from math import gcd
 import numpy as np
 
 from .graphs import Alphabet, DirectedGraph, strongly_connected_components
+from .graphs import _strongly_connected
 from .census import _step, count_series
 
 # for classifying a closed form only: the float distance at which two root
@@ -798,8 +799,9 @@ def conjecture_scan(k_max: int) -> ScanReport:
         for mask in iter_connected_bitmasks(k):
             graph = graph_from_bitmask(k, mask)
             growth = classify_growth(graph)
-            # iter_connected_bitmasks has already proved weak connectivity
-            strongly = len(strongly_connected_components(graph)) == 1
+            # iter_connected_bitmasks has already proved weak connectivity;
+            # strong connectivity is validate's reachability check
+            strongly = _strongly_connected(graph._succ, graph._pred)
             rows.append(
                 ScanRow(mask, k, strongly, growth.kind, growth.rho, growth.poly_degree)
             )

@@ -1,14 +1,17 @@
 import json
 from collections import deque
+from itertools import compress
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symgraph import (
     Alphabet,
     DirectedGraph,
     GraphSpecError,
     complete_graph,
+    conjecture_scan,
     golden_graph,
     graph_from_edges,
     graph_to_json,
@@ -21,6 +24,7 @@ from symgraph import (
     two_cycle_graph,
     validate,
 )
+from symgraph import spectral
 
 G1_SPEC = json.dumps({
     "alphabet": ["X", "Y", "Z"],
@@ -44,6 +48,35 @@ def bfs_weakly_connected(adj):
             seen.add(j)
             queue.append(j)
     return len(seen) == k
+
+
+def bfs_strongly_connected(adj):
+    """Oracle: BFS from vertex 0 reaches every vertex along the arrows, and against them."""
+    k = len(adj)
+    for arrow in (lambda i, j: adj[i][j], lambda i, j: adj[j][i]):
+        seen, queue = {0}, deque([0])
+        while queue:
+            i = queue.popleft()
+            for j in range(k):
+                if arrow(i, j) and j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+        if len(seen) < k:
+            return False
+    return True
+
+
+def graph_of(adj):
+    return DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(len(adj)))), adj)
+
+
+@st.composite
+def adjacencies(draw, k_max=8):
+    """0/1 matrices with k <= k_max, from edgeless to half the cells filled."""
+    k = draw(st.integers(1, k_max))
+    density = draw(st.floats(0, 0.5))
+    cells = draw(st.lists(st.floats(0, 1), min_size=k * k, max_size=k * k))
+    return tuple(tuple(int(u < density) for u in cells[i * k:(i + 1) * k]) for i in range(k))
 
 
 def naive_matmul(a, b):
@@ -146,8 +179,36 @@ class TestValidate:
         # sparse graphs, so that both connected and disconnected ones occur
         cells = data.draw(st.lists(st.floats(0, 1), min_size=k * k, max_size=k * k))
         adj = tuple(tuple(int(u < density) for u in cells[i * k:(i + 1) * k]) for i in range(k))
-        g = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(k))), adj)
-        assert validate(g).weakly_connected == bfs_weakly_connected(adj)
+        assert validate(graph_of(adj)).weakly_connected == bfs_weakly_connected(adj)
+
+    def test_strongly_connected_matches_bfs_every_mask_k_le_3(self):
+        for k in (1, 2, 3):
+            for mask in range(1 << (k * k)):
+                g = graph_from_bitmask(k, mask)
+                want = bfs_strongly_connected(g.adjacency)
+                assert validate(g).strongly_connected == want, (k, mask)
+                assert (len(strongly_connected_components(g)) == 1) == want, (k, mask)
+
+    @settings(max_examples=300, deadline=None)
+    @given(adj=adjacencies())
+    @example(adj=((0,),))  # one vertex without a loop: one component
+    @example(adj=((1,),))
+    @example(adj=((0, 0), (0, 0)))
+    @example(adj=((0, 1, 0), (1, 0, 0), (0, 0, 0)))  # a 2-cycle and an isolated vertex
+    @example(adj=((0, 0, 0), (0, 0, 1), (0, 1, 0)))  # the isolated vertex is vertex 0
+    def test_strongly_connected_matches_bfs_random(self, adj):
+        g = graph_of(adj)
+        want = bfs_strongly_connected(adj)
+        assert validate(g).strongly_connected == want
+        assert (len(strongly_connected_components(g)) == 1) == want
+
+    def test_scan_strongly_connected_column_matches_bfs(self, monkeypatch):
+        # an empty class memo, so the scan leaves no entries behind
+        monkeypatch.setattr(spectral, "_CLASSES", {})
+        for row in conjecture_scan(3).rows:
+            k = row.k
+            adj = tuple(tuple(row.bitmask >> (i * k + j) & 1 for j in range(k)) for i in range(k))
+            assert row.strongly_connected == bfs_strongly_connected(adj), (k, row.bitmask)
 
     def test_absorbing_rows_zero_off_diagonal(self):
         # property: the absorbing states are exactly the vertices whose row
@@ -258,12 +319,46 @@ class TestAlphabet:
         with pytest.raises(GraphSpecError):
             DirectedGraph(Alphabet(("X",)), ((2,),))
 
-    @pytest.mark.parametrize("entry", [2, -1, "1", None, 0.5])
+    @pytest.mark.parametrize("entry", [2, -1, "1", None, 0.5, [1]])
     def test_bad_entry_named_in_message(self, entry):
         adj = ((1, 0), (0, entry))
-        with pytest.raises(GraphSpecError) as err:
-            DirectedGraph(Alphabet(("X", "Y")), adj)
-        assert str(err.value) == f"adjacency entries must be 0 or 1, got {entry!r}"
+        for _ in range(2):  # a rejected row is not remembered as valid
+            with pytest.raises(GraphSpecError) as err:
+                DirectedGraph(Alphabet(("X", "Y")), adj)
+            assert str(err.value) == f"adjacency entries must be 0 or 1, got {entry!r}"
+
+    def test_first_bad_entry_in_row_major_order_is_named(self):
+        # an unhashable entry in a later row does not hide an earlier bad one
+        for adj, bad in [(((1, 2), (0, [1])), 2), (((1, 0), (5, [1])), 5), (((1, 0), ([1], 5)), [1])]:
+            with pytest.raises(GraphSpecError) as err:
+                DirectedGraph(Alphabet(("X", "Y")), adj)
+            assert str(err.value) == f"adjacency entries must be 0 or 1, got {bad!r}"
+
+    @pytest.mark.parametrize("convert", [
+        lambda adj: [list(row) for row in adj],
+        lambda adj: tuple(tuple(map(bool, row)) for row in adj),
+        lambda adj: tuple(tuple(map(np.int64, row)) for row in adj),
+        lambda adj: tuple(tuple(map(np.bool_, row)) for row in adj),
+        lambda adj: np.array(adj, dtype=np.uint8),
+        lambda adj: tuple(tuple(map(np.array, row)) for row in adj),  # unhashable, accepted
+    ], ids=["lists", "bool", "int64", "np-bool", "ndarray", "0-d-arrays"])
+    def test_other_entry_types_build_the_same_lists(self, convert):
+        for k in (1, 2, 3):
+            for mask in range(1 << (k * k)):
+                g = graph_from_bitmask(k, mask)
+                h = DirectedGraph(g.alphabet, convert(g.adjacency))
+                assert h._succ == g._succ and h._pred == g._pred, (k, mask)
+                assert all(type(j) is int for s in h._succ + h._pred for j in s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(adjs=st.lists(adjacencies(), min_size=1, max_size=40))
+    def test_successor_lists_match_compress(self, adjs):
+        # many graphs in a row, so the row memo both hits and evicts
+        graphs = [graph_of(adj) for adj in adjs]
+        for adj, g in zip(adjs, graphs):
+            cols = range(len(adj))
+            assert g._succ == tuple(tuple(compress(cols, row)) for row in adj)
+            assert g._pred == tuple(tuple(compress(cols, col)) for col in zip(*adj))
 
     @pytest.mark.parametrize("adj", [((1, 0), (0,)), ((1, 0),), ((1, 0), (0, 1), (1, 1)), ((1, 0, 0), (0, 1))])
     def test_ragged_or_wrong_size_rows_rejected(self, adj):
