@@ -11,8 +11,9 @@ Conventions
 * adjacency[i][j] == 1 means there is an arrow from symbol i to symbol j;
   at most one arrow per ordered pair, self-loops allowed.
 * "weakly connected" means the undirected shadow is connected and no
-  vertex is isolated.  (The two notions only differ for a single vertex
-  without a self-loop, which counts as disconnected here.)
+  vertex is isolated; "strongly connected" means one strongly connected
+  component.  So a single vertex without a self-loop is strongly
+  connected, as one component, but it is not weakly connected.
 * all types are frozen; every function is pure, so values can be shared
   freely across threads.
 """
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, filterfalse
+from itertools import chain, compress, filterfalse
 
 from .intmat import IntMatrix
 
@@ -80,15 +81,17 @@ class DirectedGraph:
         k, adj = self.alphabet.k, self.adjacency
         if len(adj) != k or any(len(row) != k for row in adj):
             raise GraphSpecError(f"adjacency must be {k}x{k}")
-        try:
-            succ = tuple(map(_indices, map(tuple, adj)))
-            pred = tuple(map(_indices, zip(*adj)))
-        except TypeError:
-            # an unhashable entry cannot key the memo: check and build without it
-            succ = tuple(map(_indices.__wrapped__, adj))
-            pred = tuple(map(_indices.__wrapped__, zip(*adj)))
-        object.__setattr__(self, "_succ", succ)
-        object.__setattr__(self, "_pred", pred)
+        for entry in filterfalse((0, 1).__contains__, chain.from_iterable(adj)):
+            raise GraphSpecError(f"adjacency entries must be 0 or 1, got {entry!r}")
+        self._set_lists(tuple(tuple(compress(range(k), row)) for row in adj))
+
+    def _set_lists(self, succ: tuple[tuple[int, ...], ...]) -> None:
+        """Store the successor lists succ, and their transpose as the predecessor lists."""
+        pred = [[] for _ in succ]
+        for i, s in enumerate(succ):
+            for j in s:
+                pred[j].append(i)
+        vars(self).update(_succ=succ, _pred=tuple(map(tuple, pred)))
 
     @property
     def k(self) -> int:
@@ -106,17 +109,15 @@ class DirectedGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as index pairs, row-major order."""
-        return [(i, j) for i in range(self.k) for j in range(self.k) if self.adjacency[i][j]]
+        return [(i, j) for i, s in enumerate(self._succ) for j in s]
 
 
-@lru_cache(maxsize=256)
-def _indices(row: tuple) -> tuple[int, ...]:
-    """Positions of the 1 entries of a 0/1 row or column, checking every entry."""
-    # a k <= 4 graph has at most 16 distinct rows; rows of larger graphs
-    # rarely repeat, so a memo sized by the number of graphs would only hold them
-    for entry in filterfalse((0, 1).__contains__, row):
-        raise GraphSpecError(f"adjacency entries must be 0 or 1, got {entry!r}")
-    return tuple(compress(range(len(row)), row))
+def _graph_from_rows(alphabet: Alphabet, rows: tuple, lists: tuple, bits: list) -> DirectedGraph:
+    """The graph with rows rows[b], b in bits, whose 1 positions lists[b] are trusted unchecked."""
+    graph = object.__new__(DirectedGraph)
+    vars(graph).update(alphabet=alphabet, adjacency=tuple(map(rows.__getitem__, bits)), name=None)
+    graph._set_lists(tuple(map(lists.__getitem__, bits)))
+    return graph
 
 
 @dataclass(frozen=True)
@@ -237,12 +238,10 @@ def _reach(lists: tuple[tuple[int, ...], ...]) -> int:
     return seen
 
 
-def _strongly_connected(
-    succ: tuple[tuple[int, ...], ...], pred: tuple[tuple[int, ...], ...]
-) -> bool:
+def _strongly_connected(graph: DirectedGraph) -> bool:
     """Vertex 0 reaches every vertex along the arrows and against them: one component."""
-    full = (1 << len(succ)) - 1
-    return _reach(succ) == full == _reach(pred)
+    full = (1 << graph.k) - 1
+    return _reach(graph._succ) == full == _reach(graph._pred)
 
 
 def validate(graph: DirectedGraph) -> GraphDiagnostics:
@@ -254,15 +253,14 @@ def validate(graph: DirectedGraph) -> GraphDiagnostics:
     every vertex.  Absorbing states are vertices with no outgoing edge
     besides a possible self-loop.
     """
-    succ, pred = graph._succ, graph._pred
-    strongly = _strongly_connected(succ, pred)
+    strongly = _strongly_connected(graph)
     # undirected neighbours; an empty list is an isolated vertex.  What
     # vertex 0 reaches along the arrows it reaches in the shadow too.
-    nbrs = [s + p for s, p in zip(succ, pred)]
+    nbrs = [s + p for s, p in zip(graph._succ, graph._pred)]
     weakly = all(nbrs) and (strongly or _reach(nbrs) == (1 << graph.k) - 1)
     absorbing = tuple(
         sym
-        for i, (sym, s) in enumerate(zip(graph.alphabet.symbols, succ))
+        for i, (sym, s) in enumerate(zip(graph.alphabet.symbols, graph._succ))
         if not s or s == (i,)
     )
     return GraphDiagnostics(

@@ -45,7 +45,7 @@ from math import gcd
 import numpy as np
 
 from .graphs import Alphabet, DirectedGraph, strongly_connected_components
-from .graphs import _strongly_connected
+from .graphs import _graph_from_rows, _strongly_connected
 from .census import _step, count_series
 
 # for classifying a closed form only: the float distance at which two root
@@ -617,11 +617,10 @@ def _relabelings(k: int) -> tuple[dict[tuple[int, ...], int], tuple]:
     low byte and one the image of its higher bits, at most 256 entries
     each.  Built on first use of each k; 0.13 MiB for k = 4.
     """
-    cols = range(k)
-    row_bits = {tuple(compress(cols, row)): r for r, row in enumerate(_SCAN_ROWS[k])}
+    row_bits = {s: r for r, s in enumerate(_SCAN_LISTS[k])}
     shared: dict[int, int] = {}  # one int object per value, 1,411 of them for k = 4
     tables = []
-    for p in permutations(cols):
+    for p in permutations(range(k)):
         images = [1 << (p[b // k] * k + p[b % k]) for b in range(k * k)]
         pair = []
         for low in (0, 8):
@@ -735,10 +734,13 @@ class ScanReport:
 
 
 _SCAN_SYMBOLS = ("A", "B", "C", "D")
-# per k: the alphabet, and the 0/1 entries of the row with bits r, for r < 2**k
+# per k: the alphabet, and the 0/1 entries and the index list of the row with bits r < 2**k
 _SCAN_ALPHABETS = {k: Alphabet(_SCAN_SYMBOLS[:k]) for k in range(1, 5)}
 _SCAN_ROWS = {
     k: tuple(tuple(r >> j & 1 for j in range(k)) for r in range(1 << k)) for k in range(1, 5)
+}
+_SCAN_LISTS = {
+    k: tuple(tuple(compress(range(k), row)) for row in rows) for k, rows in _SCAN_ROWS.items()
 }
 
 
@@ -751,9 +753,9 @@ def graph_from_bitmask(k: int, bitmask: int) -> DirectedGraph:
         raise ValueError(f"k must be between 1 and 4, got {k!r}")
     if not 0 <= bitmask < 1 << k * k:
         raise ValueError(f"bitmask must be in [0, 2**{k * k}), got {bitmask}")
-    rows, full = _SCAN_ROWS[k], (1 << k) - 1
-    adj = tuple(rows[bitmask >> i * k & full] for i in range(k))
-    return DirectedGraph(_SCAN_ALPHABETS[k], adj)
+    full = (1 << k) - 1
+    bits = [bitmask >> i * k & full for i in range(k)]
+    return _graph_from_rows(_SCAN_ALPHABETS[k], _SCAN_ROWS[k], _SCAN_LISTS[k], bits)
 
 
 def iter_connected_bitmasks(k: int):
@@ -763,8 +765,7 @@ def iter_connected_bitmasks(k: int):
     """
     if k not in _SCAN_ALPHABETS:
         raise ValueError(f"k must be between 1 and 4, got {k!r}")
-    full = (1 << k) - 1
-    bits_of = [tuple(j for j in range(k) if (r >> j) & 1) for r in range(1 << k)]
+    full, bits_of = (1 << k) - 1, _SCAN_LISTS[k]
     # mask 0 is skipped: no graph without edges counts as connected
     for mask in range(1, 1 << (k * k)):
         # undirected neighbours of each vertex, as vertex bitmasks
@@ -801,7 +802,7 @@ def conjecture_scan(k_max: int) -> ScanReport:
             growth = classify_growth(graph)
             # iter_connected_bitmasks has already proved weak connectivity;
             # strong connectivity is validate's reachability check
-            strongly = _strongly_connected(graph._succ, graph._pred)
+            strongly = _strongly_connected(graph)
             rows.append(
                 ScanRow(mask, k, strongly, growth.kind, growth.rho, growth.poly_degree)
             )

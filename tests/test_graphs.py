@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from symgraph import (
     Alphabet,
     DirectedGraph,
+    GraphDiagnostics,
     GraphSpecError,
     complete_graph,
     conjecture_scan,
@@ -167,6 +168,17 @@ class TestValidate:
         assert not validate(g).weakly_connected
         assert validate(graph_from_edges(("X",), [("X", "X")])).weakly_connected
 
+    @pytest.mark.parametrize("adj, weakly, absorbing, edges", [
+        (((0,),), False, ("v0",), 0),
+        (((1,),), True, ("v0",), 1),
+    ])
+    def test_single_vertex_is_strongly_connected(self, adj, weakly, absorbing, edges):
+        # one vertex is one strong component with or without its loop; weakly
+        # connected only with it
+        g = graph_of(adj)
+        assert validate(g) == GraphDiagnostics(weakly, True, absorbing, edges)
+        assert strongly_connected_components(g) == ((0,),)
+
     def test_weakly_connected_matches_bfs_every_mask_k_le_3(self):
         for k in (1, 2, 3):
             for mask in range(1 << (k * k)):
@@ -322,7 +334,7 @@ class TestAlphabet:
     @pytest.mark.parametrize("entry", [2, -1, "1", None, 0.5, [1]])
     def test_bad_entry_named_in_message(self, entry):
         adj = ((1, 0), (0, entry))
-        for _ in range(2):  # a rejected row is not remembered as valid
+        for _ in range(2):  # a second build is rejected the same way
             with pytest.raises(GraphSpecError) as err:
                 DirectedGraph(Alphabet(("X", "Y")), adj)
             assert str(err.value) == f"adjacency entries must be 0 or 1, got {entry!r}"
@@ -353,12 +365,23 @@ class TestAlphabet:
     @settings(max_examples=100, deadline=None)
     @given(adjs=st.lists(adjacencies(), min_size=1, max_size=40))
     def test_successor_lists_match_compress(self, adjs):
-        # many graphs in a row, so the row memo both hits and evicts
+        # many graphs in a row, so one graph's lists cannot leak into the next
         graphs = [graph_of(adj) for adj in adjs]
         for adj, g in zip(adjs, graphs):
             cols = range(len(adj))
             assert g._succ == tuple(tuple(compress(cols, row)) for row in adj)
             assert g._pred == tuple(tuple(compress(cols, col)) for col in zip(*adj))
+
+    def test_bitmask_graphs_match_the_public_constructor(self):
+        # graph_from_bitmask skips the entry check and reads its lists from tables
+        for k in (1, 2, 3, 4):
+            alphabet = Alphabet(("A", "B", "C", "D")[:k])
+            for mask in range(1 << k * k):
+                adj = tuple(tuple(mask >> i * k + j & 1 for j in range(k)) for i in range(k))
+                g, h = graph_from_bitmask(k, mask), DirectedGraph(alphabet, adj)
+                assert g == h and hash(g) == hash(h) and g.name is h.name is None, (k, mask)
+                assert g._succ == h._succ and g._pred == h._pred, (k, mask)
+                assert g.edges() == [(i, j) for i in range(k) for j in range(k) if adj[i][j]]
 
     @pytest.mark.parametrize("adj", [((1, 0), (0,)), ((1, 0),), ((1, 0), (0, 1), (1, 1)), ((1, 0, 0), (0, 1))])
     def test_ragged_or_wrong_size_rows_rejected(self, adj):
