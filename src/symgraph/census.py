@@ -8,8 +8,8 @@ starting at each letter walk the successor lists the same way.  The walk
 goes stint by stint, every step one plain-loop 0/1 matrix-vector product
 (`_step`).  A single graph is the one-stint schedule of the walk that
 also counts combined systems.  `total_count` forms 1^T M**(n-1) by
-binary powers from memoized squares (`intmat.vec_pow`); only
-`count_matrix` forms M**(n-1) itself, by `mat_pow`.
+binary powers from memoized squares (`intmat.vec_pow`), and
+`count_matrix` forms each row e_i^T M**(n-1) from the same squares.
 Enumeration realizes the same census independently, by iterating the
 1-letter extension map on the set of all words, starting from the
 alphabet itself.  The routes are checked against each other in the
@@ -21,9 +21,9 @@ per length.  Code order equals lexicographic word order.  Extension is a
 multiply-add per word, c*k + u for each successor u of the last letter in
 ascending order, so an ascending level extends to an ascending level
 without a sort.  Levels are int64 when every code fits, otherwise object
-arrays of Python integers, extended by the same code.  A single graph is
-the constant schedule of the extension that also enumerates combined
-systems.
+arrays of Python integers, extended by the same code.  Extension goes
+stint by stint, as the walk does, and a single graph is the one-stint
+schedule of the extension that also enumerates combined systems.
 """
 
 from __future__ import annotations
@@ -31,20 +31,19 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .graphs import DirectedGraph, Alphabet, GraphSpecError
-from . import intmat
-from .intmat import IntMatrix, mat_pow, mat_total, vec_pow
+from .intmat import IntMatrix, vec_pow
 
 DEFAULT_ENUM_CAP = 10_000_000
 ENUM_CAP_ENV = "SYMGRAPH_ENUM_CAP"
 
 Word = tuple[int, ...]
 SuccTable = tuple[tuple[int, ...], ...]
-# (predecessor table, last length it extends to); stints ascend
+# (predecessor or successor table, last length it extends to); stints ascend
 Stint = tuple[SuccTable, int]
 
 
@@ -124,15 +123,15 @@ class CountMatrix:
 
     @property
     def total(self) -> int:
-        return mat_total(self.entries)
+        return sum(map(sum, self.entries))
 
     @property
     def row_sums(self) -> tuple[int, ...]:
-        return intmat.row_sums(self.entries)
+        return tuple(map(sum, self.entries))
 
     @property
     def col_sums(self) -> tuple[int, ...]:
-        return intmat.col_sums(self.entries)
+        return tuple(map(sum, zip(*self.entries)))
 
     def entry(self, frm: int | str, to: int | str) -> int:
         i = frm if isinstance(frm, int) else self.alphabet.index(frm)
@@ -158,10 +157,12 @@ class CountSeries:
 
 
 def count_matrix(graph: DirectedGraph, n: int) -> CountMatrix:
-    """Exact census by endpoints: M**(n-1) via repeated squaring."""
+    """Exact census by endpoints: row i of M**(n-1) is e_i^T M**(n-1)."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    return CountMatrix(graph.alphabet, n, mat_pow(graph.adjacency, n - 1))
+    k = graph.k
+    rows = tuple(vec_pow(tuple(int(i == j) for j in range(k)), graph.adjacency, n - 1) for i in range(k))
+    return CountMatrix(graph.alphabet, n, rows)
 
 
 def total_count(graph: DirectedGraph, n: int) -> int:
@@ -270,18 +271,15 @@ class WordSet:
 
 
 def _word_sets(
-    alphabet: Alphabet,
-    succ_at: Callable[[int], SuccTable],
-    n_max: int,
-    cap: int,
+    alphabet: Alphabet, stints: Sequence[Stint], n_max: int, cap: int
 ) -> Iterator[WordSet]:
     """Word sets for lengths 1..n_max, each extended from the previous.
 
-    succ_at(j) is the successor table applied when extending words of
-    length j-1 to length j.  Each code c emits its children c*k + u in
-    ascending u, so an ascending level extends to an ascending level.
-    The cap is checked from the per-letter fan-out before the next level
-    is allocated.
+    Each stint (succ, last) lists, for each letter, the letters that may
+    follow it at the extensions to lengths up to last.  Each code c emits
+    its children c*k + u in ascending u, so an ascending level extends to
+    an ascending level.  The cap is checked from the per-letter fan-out
+    before the next level is allocated.
     """
     k = alphabet.k
     # codes and their intermediates c*k + u stay below k**n_max
@@ -290,31 +288,33 @@ def _word_sets(
         raise EnumerationCapError(1, k, cap)
     codes = np.arange(k, dtype=dtype)
     yield WordSet(alphabet, 1, codes)
-    for n in range(2, n_max + 1):
-        succ = succ_at(n)
+    n = 1
+    for succ, last in stints:
         deg = np.array([len(s) for s in succ], dtype=np.intp)
-        last = (codes % k).astype(np.intp, copy=False)
-        fan = deg[last]
-        size = int(fan.sum())
-        if size > cap:
-            raise EnumerationCapError(n, size, cap)
-        # child i of code c lands at index first_c + i of the next level
-        # and takes its letter from flat[start[c % k] + i]; pos maps the one
-        # to the other.  Temporaries are updated in place and dropped early,
-        # so the peak stays near two next-level arrays.
-        pos = (np.cumsum(deg) - deg)[last]
-        del last
-        pos -= np.cumsum(fan)
-        pos += fan
-        pos = np.repeat(pos, fan)
-        pos += np.arange(size)
+        start = np.cumsum(deg) - deg
         flat = np.array([u for s in succ for u in s], dtype=np.intp)
-        np.take(flat, pos, out=pos, mode="clip")  # "clip" takes in place, unbuffered
-        codes = np.repeat(codes, fan)
-        codes *= k
-        codes += pos
-        del fan, pos  # the frame outlives the yield
-        yield WordSet(alphabet, n, codes)
+        for n in range(n + 1, min(last, n_max) + 1):
+            ends = (codes % k).astype(np.intp, copy=False)
+            fan = deg[ends]
+            size = int(fan.sum())
+            if size > cap:
+                raise EnumerationCapError(n, size, cap)
+            # child i of code c lands at index first_c + i of the next level
+            # and takes its letter from flat[start[c % k] + i]; pos maps the
+            # one to the other.  Temporaries are updated in place and dropped
+            # early, so the peak stays near two next-level arrays.
+            pos = start[ends]
+            del ends
+            pos -= np.cumsum(fan)
+            pos += fan
+            pos = np.repeat(pos, fan)
+            pos += np.arange(size)
+            np.take(flat, pos, out=pos, mode="clip")  # "clip" takes in place, unbuffered
+            codes = np.repeat(codes, fan)
+            codes *= k
+            codes += pos
+            del fan, pos  # the frame outlives the yield
+            yield WordSet(alphabet, n, codes)
 
 
 def iter_word_sets(
@@ -323,8 +323,7 @@ def iter_word_sets(
     """Word sets for n = 1..n_max, each level extended from the previous."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    succ = graph._succ
-    yield from _word_sets(graph.alphabet, lambda j: succ, n_max, enumeration_cap(cap))
+    yield from _word_sets(graph.alphabet, ((graph._succ, n_max),), n_max, enumeration_cap(cap))
 
 
 def enumerate_words(graph: DirectedGraph, n: int, cap: int | None = None) -> WordSet:

@@ -418,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     options = {
         "--graph": dict(action="append", default=[], help="graph-spec JSON file (repeatable)"),
         "--schedule": dict(default=None, help='schedule: "paper" or a JSON schedule file'),
-        "--n-max": dict(type=int, default=30),
-        "--t-max": dict(type=int, default=0),
+        "--n-max": dict(type=int, default=30, help="longest word length (entropy-fit: only without --schedule)"),
+        "--t-max": dict(type=int, default=0, help="last milestone t, length (t+1)**4 (entropy-fit: only with --schedule)"),
         "--k-max": dict(type=int, default=3),
         "--strict": dict(action="store_true", help="nonzero exit when a bound report fails"),
         "--enumerate": dict(action="store_true", help="also list words up to n-max"),

@@ -10,13 +10,14 @@ later stint contributes its full length, which is what makes the growth
 bounds for the bundled example systems exact.  A single graph is the
 system of one graph, the constant (autonomous) schedule.
 
-`combined_count` pushes the row vector 1^T through each stint segment
-by binary powers of A_m from memoized squares (`intmat.vec_pow`), and
-the system keeps the vector of its last count, so milestone counts
-taken in ascending order cost one pass along the schedule in all, and
-every long stint of one graph reads the same chain of squares.
-`combined_count_series` walks the schedule stint by stint instead, one
-plain-loop 0/1 matrix-vector product (`census._step`) per letter added.
+Every path reads the schedule as the stints of `_stints`, each (graph,
+last length it extends to).  `combined_count` pushes the row vector 1^T
+through each stint by binary powers of A_m from memoized squares
+(`intmat.vec_pow`), and the system keeps the vector of its last count,
+so milestone counts taken in ascending order resume where the last one
+stopped.  `combined_count_series` walks the stints (`census._walk`) and
+`iter_combined_word_sets` extends word sets along them
+(`census._word_sets`), as for the one stint of a single graph.
 
 Unlike the words of one graph, a subword of an admissible combined word
 need not be admissible; `find_inadmissible_subword` finds the first such
@@ -141,6 +142,18 @@ def active_index(system: CombinedSystem, j: int) -> int:
     return (m - 1) % len(system.graphs)
 
 
+def _stints(system: CombinedSystem, n_max: int, j: int = 1) -> list[tuple[DirectedGraph, int]]:
+    """(graph, last length it extends to) for each stint, from the one that
+    extends to length j + 1 (or holds n_max) through the one reaching n_max.
+
+    Raises ScheduleExhaustedError when n_max lies beyond the horizon.
+    """
+    sched, graphs = system.schedule, system.graphs
+    top = sched.stint_index(n_max)
+    first = sched.stint_index(min(j + 1, n_max))
+    return [(graphs[(m - 1) % len(graphs)], sched.g[m]) for m in range(first, top + 1)]
+
+
 def combined_count(system: CombinedSystem, n: int) -> int:
     """Exact count of combined words of length n (sum over endpoints).
 
@@ -151,14 +164,10 @@ def combined_count(system: CombinedSystem, n: int) -> int:
     """
     if n < 1:
         raise ValueError("word length must be >= 1")
-    sched = system.schedule
-    sched.stint_index(n)  # ScheduleExhaustedError beyond the horizon
     last = system._last_count
     j, vec = last if last is not None and last[0] <= n else (1, (1,) * system.k)
-    while j < n:
-        m = sched.stint_index(j + 1)
-        hi = min(sched.g[m], n)
-        graph = system.graphs[(m - 1) % len(system.graphs)]
+    for graph, hi in _stints(system, n, j):
+        hi = min(hi, n)
         vec = vec_pow(vec, graph.adjacency, hi - j)
         j = hi
     object.__setattr__(system, "_last_count", (n, vec))
@@ -169,10 +178,7 @@ def combined_count_series(system: CombinedSystem, n_max: int) -> list[tuple[int,
     """(n, count) for n = 1..n_max by one vector walk along the schedule."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    g = system.schedule.g
-    last = system.schedule.stint_index(n_max)  # ScheduleExhaustedError beyond the horizon
-    preds = [graph._pred for graph in system.graphs]
-    stints = [(preds[(m - 1) % len(preds)], g[m]) for m in range(1, last + 1)]
+    stints = [(graph._pred, last) for graph, last in _stints(system, n_max)]
     return [(n, sum(vec)) for n, vec in enumerate(_walk(system.k, stints, n_max), start=1)]
 
 
@@ -180,14 +186,8 @@ def iter_combined_word_sets(system: CombinedSystem, n_max: int, cap: int | None 
     """Combined word sets for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    system.schedule.stint_index(n_max)  # ScheduleExhaustedError beyond the horizon
-    succ_tables = [g._succ for g in system.graphs]
-    yield from _word_sets(
-        system.alphabet,
-        lambda j: succ_tables[active_index(system, j)],
-        n_max,
-        enumeration_cap(cap),
-    )
+    stints = [(graph._succ, last) for graph, last in _stints(system, n_max)]
+    yield from _word_sets(system.alphabet, stints, n_max, enumeration_cap(cap))
 
 
 def combined_enumerate(system: CombinedSystem, n: int, cap: int | None = None) -> WordSet:

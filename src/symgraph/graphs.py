@@ -83,6 +83,7 @@ class DirectedGraph:
             raise GraphSpecError(f"adjacency must be {k}x{k}")
         for entry in filterfalse((0, 1).__contains__, chain.from_iterable(adj)):
             raise GraphSpecError(f"adjacency entries must be 0 or 1, got {entry!r}")
+        vars(self)["adjacency"] = adj = tuple(tuple(map(int, row)) for row in adj)  # exact, hashable
         self._set_lists(tuple(tuple(compress(range(k), row)) for row in adj))
 
     def _set_lists(self, succ: tuple[tuple[int, ...], ...]) -> None:

@@ -22,12 +22,13 @@ from symgraph import (
     iter_word_sets,
     linear_graph,
     Schedule,
+    combined_count,
     combined_count_series,
     total_count,
     two_cycle_graph,
 )
 from symgraph.census import _word_sets
-from symgraph.intmat import identity, mat_mul, mat_pow, vec_mul, vec_pow
+from symgraph.intmat import mat_mul, vec_mul, vec_pow
 
 SQRT5 = math.sqrt(5)
 MU = (1 + SQRT5) / 2
@@ -44,8 +45,21 @@ def random_graphs(draw, k_max):
 
 def _object_levels(graph, n):
     """The first n levels with a long n_max: Python ints for k > 1."""
-    levels = _word_sets(graph.alphabet, lambda j: graph._succ, 10 ** 4, 10 ** 6)
+    levels = _word_sets(graph.alphabet, ((graph._succ, 10 ** 4),), 10 ** 4, 10 ** 6)
     return list(itertools.islice(levels, n))
+
+
+def mat_pow(m, e):
+    """Independent oracle: m**e by repeated squaring of whole matrices."""
+    k = len(m)
+    result = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    while e:
+        if e & 1:
+            result = mat_mul(result, m)
+        e >>= 1
+        if e:
+            m = mat_mul(m, m)
+    return result
 
 
 def brute_force_words(graph, n):
@@ -162,7 +176,7 @@ class TestVecPow:
     def test_matches_repeated_products(self):
         for g in (golden_graph(), linear_graph(), complete_graph(), two_cycle_graph()):
             v = tuple(range(1, g.k + 1))
-            power = identity(g.k)
+            power = mat_pow(g.adjacency, 0)
             for e in range(71):
                 assert vec_pow(v, g.adjacency, e) == vec_mul(v, power)
                 power = mat_mul(power, g.adjacency)
@@ -188,7 +202,24 @@ class TestVecPow:
     @settings(max_examples=60, deadline=None)
     @given(graph=random_graphs(6), n=st.integers(1, 400))
     def test_total_count_matches_count_matrix(self, graph, n):
-        assert total_count(graph, n) == count_matrix(graph, n).total
+        # each side against an oracle that does not use vec_pow
+        assert total_count(graph, n) == count_series(graph, n).rows[-1].total
+        assert count_matrix(graph, n).entries == mat_pow(graph.adjacency, n - 1)
+
+    @pytest.mark.parametrize("adj", [
+        np.ones((2, 2), dtype=np.uint8),
+        ((1.0, 1.0), (1.0, 1.0)),
+    ], ids=["uint8", "float"])
+    def test_counts_are_exact_for_any_entry_type(self, adj):
+        # uint8 products used to wrap to 0, float ones to round and then overflow
+        g = DirectedGraph(Alphabet(("x", "y")), adj)
+        system = CombinedSystem((g,), Schedule((0, 1100)))
+        for n in (10, 60, 1100):
+            total = total_count(g, n)
+            assert type(total) is int and total == combined_count(system, n) == 2 ** n
+        cm = count_matrix(g, 10)
+        assert cm.entries == ((256, 256), (256, 256))
+        assert all(type(x) is int for row in cm.entries for x in row)
 
 
 class TestAdmissibility:

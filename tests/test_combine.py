@@ -403,8 +403,9 @@ class TestCombinedEnumeration:
         k = system.k
         fast = list(iter_combined_word_sets(system, n_max))
         assert fast[-1]._codes.dtype == np.int64
-        succ_at = lambda j: system.graphs[active_index(system, j)]._succ
-        slow = list(itertools.islice(_word_sets(system.alphabet, succ_at, 10 ** 4, 10 ** 6), n_max))
+        g = system.schedule.g
+        stints = [(system.graphs[(m - 1) % len(system.graphs)]._succ, g[m]) for m in range(1, len(g))]
+        slow = list(itertools.islice(_word_sets(system.alphabet, stints, 10 ** 4, 10 ** 6), n_max))
         # a 1-letter alphabet fits int64 at every length
         assert slow[-1]._codes.dtype == (object if k > 1 else np.int64)
         assert len(fast) == len(slow) == n_max

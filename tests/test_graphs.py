@@ -353,14 +353,18 @@ class TestAlphabet:
         lambda adj: tuple(tuple(map(np.bool_, row)) for row in adj),
         lambda adj: np.array(adj, dtype=np.uint8),
         lambda adj: tuple(tuple(map(np.array, row)) for row in adj),  # unhashable, accepted
-    ], ids=["lists", "bool", "int64", "np-bool", "ndarray", "0-d-arrays"])
+        lambda adj: tuple(tuple(map(float, row)) for row in adj),
+    ], ids=["lists", "bool", "int64", "np-bool", "ndarray", "0-d-arrays", "float"])
     def test_other_entry_types_build_the_same_lists(self, convert):
+        # and the same graph: the adjacency is stored as exact Python ints
         for k in (1, 2, 3):
             for mask in range(1 << (k * k)):
                 g = graph_from_bitmask(k, mask)
                 h = DirectedGraph(g.alphabet, convert(g.adjacency))
                 assert h._succ == g._succ and h._pred == g._pred, (k, mask)
                 assert all(type(j) is int for s in h._succ + h._pred for j in s)
+                assert h == g and hash(h) == hash(g), (k, mask)
+                assert all(type(x) is int for row in h.adjacency for x in row)
 
     @settings(max_examples=100, deadline=None)
     @given(adjs=st.lists(adjacencies(), min_size=1, max_size=40))
