@@ -35,6 +35,7 @@ from .census import (
     ENUM_CAP_ENV,
     EnumerationCapError,
     count_series,
+    enumeration_cap,
     format_word,
     iter_word_sets,
 )
@@ -273,8 +274,12 @@ def cmd_analyze(args: argparse.Namespace) -> ExperimentOutput:
         ))
 
     if args.enumerate:
+        cap = enumeration_cap(args.enum_cap)
+        for r in series.rows:  # each level's exact size: fail before building a word
+            if r.total > cap:
+                raise EnumerationCapError(r.n, r.total, cap)
         rows = []
-        for ws in iter_word_sets(graph, args.n_max, cap=args.enum_cap):
+        for ws in iter_word_sets(graph, args.n_max, cap=cap):
             rows += [[str(ws.length), w] for w in ws.strings()]
         out.tables.append(Table("analyze_words", ["n", "word"], rows))
     return out

@@ -11,8 +11,8 @@ verifies the recurrence in exact arithmetic, extracts the closed form,
 classifies the resulting growth (exponential / polynomial / mixed), and
 scans all small weakly connected digraphs for mixed-growth witnesses.
 The growth class of a graph on up to 4 letters is kept per isomorphism
-class, under the least bitmask over its relabelings, so the scan
-classifies 2,912 classes rather than 61,789 labeled graphs.
+class: the canonical graph of the class (least bitmask over relabelings)
+is classified, so the scan classifies 2,912 classes, not 61,789 graphs.
 The polynomial vanishing at the matrix proves the recurrence at every n
 at once, checked on one row vector of k packed integers; when it does
 not vanish, the same packed integers hold its nonzero entries, the
@@ -574,11 +574,11 @@ def classify_growth(source: DirectedGraph | ClosedForm) -> GrowthClass:
 
     Kind, rho and degree do not change when the letters are relabeled, so
     a graph on up to 4 letters is classified once per isomorphism class:
-    the first graph of a class is classified as given, and its GrowthClass
-    is kept under (k, the least row-major bitmask over all k!
-    relabelings).  The 61,344 weakly connected graphs on 4 labeled letters
-    fall into 2,818 classes.  A larger graph is classified every time, as
-    its canonical form would cost k! relabelings.
+    the canonical graph of the class, the one with the least row-major
+    bitmask over all k! relabelings, is classified, and its GrowthClass is
+    kept under (k, that bitmask).  The 61,344 weakly connected graphs on 4
+    labeled letters fall into 2,818 classes.  A larger graph is classified
+    every time, as its canonical form would cost k! relabelings.
 
     For a closed form, terms whose coefficient modulus is below COEFF_TOL
     (relative to the largest coefficient) do not participate: rho is the
@@ -595,16 +595,13 @@ def classify_growth(source: DirectedGraph | ClosedForm) -> GrowthClass:
     for s in reversed(source._succ):
         mask = mask << k | row_bits[s]
     low, high = mask & 255, mask >> 8
-    key = k, min([lo[low] | hi[high] for lo, hi in tables])
-    growth = _CLASSES.get(key)
-    if growth is None:
-        growth = _CLASSES[key] = _classify_graph(source)
-    return growth
+    return _class_of(k, min([lo[low] | hi[high] for lo, hi in tables]))
 
 
-# growth classes of graphs on up to 4 letters, one per isomorphism class,
-# keyed by (k, the least row-major bitmask over all k! relabelings)
-_CLASSES: dict[tuple[int, int], GrowthClass] = {}
+@lru_cache(maxsize=None)
+def _class_of(k: int, least: int) -> GrowthClass:
+    """The growth class of the graphs on k letters whose least relabeled bitmask is least."""
+    return _classify_graph(graph_from_bitmask(k, least))
 
 
 @lru_cache(maxsize=None)

@@ -33,7 +33,8 @@ from symgraph import (
     CombinedSystem,
     quartic_schedule,
 )
-from symgraph import graphs, spectral
+
+from conftest import clear_memos
 
 MU = (1 + math.sqrt(5)) / 2
 
@@ -252,12 +253,7 @@ def test_criterion_09_entropy_estimates():
 
 def test_criterion_10_scan_deterministic():
     r1 = conjecture_scan(3)
-    # drop the memoized components, block polynomials, Perron roots and
-    # growth classes, so the second run recomputes
-    graphs._components.cache_clear()
-    spectral._berkowitz.cache_clear()
-    spectral._top_owners.cache_clear()
-    spectral._CLASSES.clear()
+    clear_memos()  # so the second run recomputes everything
     r2 = conjecture_scan(3)
     identical = r1.to_csv().encode() == r2.to_csv().encode()
     no_strong_mixed = r1.mixed_strongly_connected == ()

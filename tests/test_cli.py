@@ -13,12 +13,14 @@ from symgraph import (
     count_series,
     golden_graph,
     graph_to_json,
-    graphs,
     linear_graph,
-    spectral,
     total_count,
 )
+from symgraph import cli
+from symgraph.census import ENUM_CAP_ENV
 from symgraph.cli import build_parser, main
+
+from conftest import clear_memos
 
 
 @pytest.fixture()
@@ -110,6 +112,23 @@ class TestAnalyze:
             "analyze", "--graph", graph_files["complete3"], "--n-max", "25",
             "--enumerate", "--enum-cap", "100", "--out", str(out / "b"),
         ]) == 1
+
+    def test_enumeration_cap_checked_before_any_word(self, tmp_path, graph_files, monkeypatch,
+                                                     capsys):
+        # the counts give every level's size: level 32 holds 14,930,350 words,
+        # over the default cap, so no level is built, not even levels 1..31
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no word may be built when a level is over the cap")
+
+        monkeypatch.delenv(ENUM_CAP_ENV, raising=False)
+        monkeypatch.setattr(cli, "iter_word_sets", forbidden)
+        assert main([
+            "analyze", "--graph", graph_files["golden"], "--n-max", "60",
+            "--enumerate", "--out", str(tmp_path / "out"),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "error: enumeration of 14930350 words at length 32 exceeds cap 10000000\n"
+        )
 
     def test_missing_file_errors(self, tmp_path):
         assert main(["analyze", "--graph", str(tmp_path / "nope.json"),
@@ -349,12 +368,7 @@ class TestScan:
     def test_k3_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["scan", "--k-max", "3", "--out", str(out1)]) == 0
-        # drop the memoized components, block polynomials, Perron roots and
-        # growth classes, so the second run recomputes
-        graphs._components.cache_clear()
-        spectral._berkowitz.cache_clear()
-        spectral._top_owners.cache_clear()
-        spectral._CLASSES.clear()
+        clear_memos()  # so the second run recomputes everything
         assert main(["scan", "--k-max", "3", "--out", str(out2)]) == 0
         t1 = (out1 / "scan_table.csv").read_bytes()
         t2 = (out2 / "scan_table.csv").read_bytes()

@@ -25,7 +25,6 @@ from symgraph import (
     two_cycle_graph,
     validate,
 )
-from symgraph import spectral
 
 G1_SPEC = json.dumps({
     "alphabet": ["X", "Y", "Z"],
@@ -214,9 +213,7 @@ class TestValidate:
         assert validate(g).strongly_connected == want
         assert (len(strongly_connected_components(g)) == 1) == want
 
-    def test_scan_strongly_connected_column_matches_bfs(self, monkeypatch):
-        # an empty class memo, so the scan leaves no entries behind
-        monkeypatch.setattr(spectral, "_CLASSES", {})
+    def test_scan_strongly_connected_column_matches_bfs(self):
         for row in conjecture_scan(3).rows:
             k = row.k
             adj = tuple(tuple(row.bitmask >> (i * k + j) & 1 for j in range(k)) for i in range(k))

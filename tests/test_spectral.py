@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import hashlib
 import itertools
@@ -134,41 +133,30 @@ def canonical_masks(k, masks):
     return least.tolist()
 
 
-@contextlib.contextmanager
-def fresh_class_memo():
-    """An empty class memo for the block, so classify_growth classifies every graph anew."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectral, "_CLASSES", {})
-        yield
-
-
-@pytest.fixture(autouse=True)
-def _fresh_class_memo():
-    # each test starts from an empty class memo and leaves the global one
-    # as it was, so no test reads a class an earlier test stored
-    with fresh_class_memo():
-        yield
-
-
 @pytest.fixture(scope="module")
 def k4_scan():
-    """conjecture_scan(4) from an empty class memo: the report, Berkowitz runs per size, the memo.
+    """conjecture_scan(4) from empty memos: the report, Berkowitz runs per size, the classes.
 
     A fresh Berkowitz memo of the same size counts its misses, which run
-    the unmemoized scheme.
+    the unmemoized scheme; a fresh class memo records each class it
+    computes under its key.
     """
     runs = Counter()
-    memo = spectral._berkowitz
+    classes = {}
+    memo, class_of = spectral._berkowitz, spectral._class_of
 
     def counted(succ):
         runs[len(succ)] += 1
         return memo.__wrapped__(succ)
 
+    def recorded(k, least):
+        growth = classes[k, least] = class_of.__wrapped__(k, least)
+        return growth
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_berkowitz", functools.lru_cache(memo.cache_info().maxsize)(counted))
-        mp.setattr(spectral, "_CLASSES", {})
+        mp.setattr(spectral, "_class_of", functools.lru_cache(maxsize=None)(recorded))
         report = conjecture_scan(4)
-        classes = dict(spectral._CLASSES)
     return report, runs, classes
 
 
@@ -746,8 +734,7 @@ class TestClassify:
                     tuple(g.adjacency[perm[i]][perm[j]] for j in range(k)) for i in range(k)
                 )
                 relabeled = DirectedGraph(Alphabet(tuple("PQRS"[:k])), adj)
-                with fresh_class_memo():
-                    got = classify_growth(relabeled)
+                got = spectral._classify_graph(relabeled)  # as given, not through the memo
                 assert got.kind == base.kind
                 assert abs(got.rho - base.rho) < 1e-9
                 assert got.poly_degree == base.poly_degree
@@ -779,8 +766,8 @@ class TestStructuralClass:
         # the float rule on the closed form is an independent route; its one
         # known failure, the chain of 12 loops (see above), lies beyond k = 8
         g = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(len(adj)))), adj)
-        with fresh_class_memo():
-            got = classify_growth(g)
+        got = spectral._classify_graph(g)  # as given; the memo may hold a relabeling's class
+        assert classify_growth(g) == got
         want = classify_growth(closed_form(g))
         assert (got.kind, got.poly_degree) == (want.kind, want.poly_degree)
         assert got.rho == sympy_rho(adj)
@@ -792,8 +779,7 @@ class TestStructuralClass:
     @example(adj=golden_tie_graph().adjacency)  # mu, owned by two different polynomials
     def test_rho_is_the_correctly_rounded_perron_root(self, adj):
         g = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(len(adj)))), adj)
-        with fresh_class_memo():
-            assert classify_growth(g).rho == sympy_rho(adj)
+        assert classify_growth(g).rho == spectral._classify_graph(g).rho == sympy_rho(adj)
 
     def test_exact_tie_between_different_polynomials(self):
         # a golden block feeding its own edge graph: both have Perron root
@@ -829,7 +815,6 @@ class TestStructuralClass:
         g = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(2 * size))), tuple(map(tuple, adj)))
         comps = strongly_connected_components(g)
         assert len(comps) == 2
-        spectral._top_owners.cache_clear()
         start = time.perf_counter()
         growth = classify_growth(g)
         elapsed = time.perf_counter() - start
@@ -874,7 +859,7 @@ class TestStructuralClass:
         assert abs(witness.rho - 2.0) < 1e-12
         assert classify_growth(loop_chain_graph(12)) == GrowthClass(POLYNOMIAL, 1.0, 11)
         # the three small graphs were classified here, not read from the memo
-        assert len(spectral._CLASSES) == 3
+        assert spectral._class_of.cache_info().currsize == 3
 
 
 class TestScan:
@@ -955,8 +940,8 @@ class TestScan:
         # conjecture: no mixed growth among strongly connected graphs
         assert report.mixed_strongly_connected == ()
         # only a strongly connected graph runs Berkowitz on all 4 vertices,
-        # to report its rho, and only the first of its isomorphism class;
-        # the others multiply memoized blocks
+        # to report its rho, and only the canonical graph of its isomorphism
+        # class; the others multiply memoized blocks
         exponential = [r for r in report.rows if r.k == 4 and r.rho > 1]
         assert len(exponential) == 51_152
         strong = [r.bitmask for r in exponential if r.strongly_connected]
@@ -987,21 +972,18 @@ class TestScan:
     @example(adj=((1, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (0, 0, 1, 1)), data=None)
     def test_class_memo_is_relabeling_invariant(self, adj, data):
         # edgeless and disconnected graphs included: each relabeling,
-        # classified on a cleared memo, gives the class the memo returns
-        # for it once any relabeling has filled it
+        # classified as given, has the class the memo returns for it, and
+        # all relabelings share one memo entry
         k = len(adj)
         perms = [tuple(range(k)), tuple(reversed(range(k)))]
         if data is not None:
             perms += data.draw(st.lists(st.permutations(range(k)), min_size=1, max_size=6))
         graphs = [relabeled(adj, perm) for perm in perms]
-        fresh = []
-        for g in graphs:
-            with fresh_class_memo():
-                fresh.append(classify_growth(g))
-        with fresh_class_memo():
-            memoized = [classify_growth(g) for g in reversed(graphs)][::-1]
-            assert len(spectral._CLASSES) == 1
-        assert memoized == fresh
+        given = [spectral._classify_graph(g) for g in graphs]
+        before = spectral._class_of.cache_info().currsize
+        memoized = [classify_growth(g) for g in graphs]
+        assert spectral._class_of.cache_info().currsize <= before + 1
+        assert memoized == given
         assert all(growth is memoized[0] for growth in memoized)
 
     def test_five_letters_bypass_the_class_memo(self):
@@ -1011,7 +993,7 @@ class TestScan:
         growth = classify_growth(g)
         assert growth.kind == EXPONENTIAL and growth.rho > 1
         assert classify_growth(g) == growth
-        assert spectral._CLASSES == {}
+        assert spectral._class_of.cache_info().currsize == 0
         assert spectral._relabelings.cache_info().currsize <= tables
 
     def test_connected_bitmasks_reject_k_outside_1_to_4(self):
