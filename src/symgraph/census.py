@@ -20,10 +20,13 @@ codes (most significant digit = first letter), one ascending numpy array
 per length.  Code order equals lexicographic word order.  Extension is a
 multiply-add per word, c*k + u for each successor u of the last letter in
 ascending order, so an ascending level extends to an ascending level
-without a sort.  Levels are int64 when every code fits, otherwise object
-arrays of Python integers, extended by the same code.  Extension goes
-stint by stint, as the walk does, and a single graph is the one-stint
-schedule of the extension that also enumerates combined systems.
+without a sort, and the letters u are carried as the next level's last
+letters.  Levels are int64 when every code fits, otherwise object arrays
+of Python integers, extended by the same code.  Extension goes stint by
+stint, as the walk does, so a single graph and a combined system share it.
+
+Reads cost array time: membership is one coercion and one binary search,
+and words are decoded 2**14 codes at a time by digit extraction.
 """
 
 from __future__ import annotations
@@ -86,7 +89,9 @@ def as_indices(alphabet: Alphabet, word: str | Sequence[str] | Sequence[int]) ->
     k = alphabet.k
     letters: list[int] = []
     for item in word:
-        if isinstance(item, str):
+        if item.__class__ is int and 0 <= item < k:
+            letters.append(item)
+        elif isinstance(item, str):
             letters.append(alphabet.index(item))
         else:
             idx = int(item)
@@ -223,7 +228,11 @@ def count_series(graph: DirectedGraph, n_max: int) -> CountSeries:
 
 
 class WordSet:
-    """Immutable set of equal-length words, stored as base-k codes."""
+    """Immutable set of equal-length words, stored as base-k codes.
+
+    Membership folds one coerced word into its code and binary searches
+    the codes; iteration and `strings()` decode 2**14 codes at a time.
+    """
 
     def __init__(self, alphabet: Alphabet, length: int, codes: np.ndarray):
         self.alphabet = alphabet
@@ -234,27 +243,33 @@ class WordSet:
     def __len__(self) -> int:
         return self._codes.size
 
-    def _decode(self, code: int) -> Word:
-        k = self.alphabet.k
-        letters = [0] * self.length
-        for pos in range(self.length - 1, -1, -1):
-            code, letters[pos] = divmod(code, k)
-        return tuple(letters)
-
     def codes(self) -> list[int]:
         """All codes in ascending (= lexicographic word) order."""
         return self._codes.tolist()
 
+    def _digits(self) -> Iterator[np.ndarray]:  # one row of letters per word
+        k, codes = self.alphabet.k, self._codes
+        powers = np.array([k ** p for p in range(self.length - 1, -1, -1)], dtype=codes.dtype)
+        for chunk in np.split(codes, range(1 << 14, codes.size, 1 << 14)):
+            yield (chunk[:, None] // powers % k).astype(np.intp, copy=False)
+
     def __iter__(self) -> Iterator[Word]:
-        for code in self.codes():
-            yield self._decode(code)
+        for digits in self._digits():
+            yield from zip(*digits.T.tolist())
 
     def strings(self) -> list[str]:
-        return [format_word(self.alphabet, w) for w in self]
+        symbols = self.alphabet.symbols
+        sep = "" if all(len(s) == 1 for s in symbols) else "."
+        if sep or "\0" in symbols:  # numpy strings drop trailing NULs
+            table = np.array(symbols, dtype=object)
+            return [sep.join(w) for d in self._digits() for w in zip(*table[d].T.tolist())]
+        table = np.array(symbols, dtype="U1")  # one character per letter: a row reads as one string
+        return [s for d in self._digits() for s in table[d].view(f"U{self.length}")[:, 0].tolist()]
 
     def contains_code(self, code: int) -> bool:
-        pos = int(np.searchsorted(self._codes, code))
-        return pos < self._codes.size and int(self._codes[pos]) == code
+        codes = self._codes
+        pos = codes.searchsorted(code)
+        return bool(pos < codes.size and codes[pos] == code)
 
     def __contains__(self, word) -> bool:
         try:
@@ -267,7 +282,9 @@ class WordSet:
         code = 0
         for letter in letters:
             code = code * k + letter
-        return self.contains_code(code)
+        codes = self._codes
+        pos = codes.searchsorted(code)
+        return bool(pos < codes.size and codes[pos] == code)
 
 
 def _word_sets(
@@ -287,6 +304,7 @@ def _word_sets(
     if k > cap:
         raise EnumerationCapError(1, k, cap)
     codes = np.arange(k, dtype=dtype)
+    ends = np.arange(k, dtype=np.intp)  # the last letter of each word
     yield WordSet(alphabet, 1, codes)
     n = 1
     for succ, last in stints:
@@ -294,13 +312,12 @@ def _word_sets(
         start = np.cumsum(deg) - deg
         flat = np.array([u for s in succ for u in s], dtype=np.intp)
         for n in range(n + 1, min(last, n_max) + 1):
-            ends = (codes % k).astype(np.intp, copy=False)
             fan = deg[ends]
             size = int(fan.sum())
             if size > cap:
                 raise EnumerationCapError(n, size, cap)
             # child i of code c lands at index first_c + i of the next level
-            # and takes its letter from flat[start[c % k] + i]; pos maps the
+            # and takes its letter from flat[start[ends[c]] + i]; pos maps the
             # one to the other.  Temporaries are updated in place and dropped
             # early, so the peak stays near two next-level arrays.
             pos = start[ends]
@@ -309,10 +326,11 @@ def _word_sets(
             pos += fan
             pos = np.repeat(pos, fan)
             pos += np.arange(size)
-            np.take(flat, pos, out=pos, mode="clip")  # "clip" takes in place, unbuffered
+            # the children's last letters; "clip" takes in place, unbuffered
+            ends = np.take(flat, pos, out=pos, mode="clip")
             codes = np.repeat(codes, fan)
             codes *= k
-            codes += pos
+            codes += ends
             del fan, pos  # the frame outlives the yield
             yield WordSet(alphabet, n, codes)
 

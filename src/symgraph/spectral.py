@@ -762,25 +762,17 @@ def iter_connected_bitmasks(k: int):
     """
     if k not in _SCAN_ALPHABETS:
         raise ValueError(f"k must be between 1 and 4, got {k!r}")
-    full, bits_of = (1 << k) - 1, _SCAN_LISTS[k]
-    # mask 0 is skipped: no graph without edges counts as connected
-    for mask in range(1, 1 << (k * k)):
-        # undirected neighbours of each vertex, as vertex bitmasks
-        rows = [(mask >> (i * k)) & full for i in range(k)]
-        nbr = rows[:]
-        for i, row in enumerate(rows):
-            for j in bits_of[row]:
-                nbr[j] |= 1 << i
-        # flood fill from vertex 0
-        seen = frontier = 1
-        while frontier:
-            reach = 0
-            for i in bits_of[frontier]:
-                reach |= nbr[i]
-            frontier = reach & ~seen
-            seen |= reach
-        if seen == full:
-            yield mask
+    full = (1 << k) - 1
+    # all masks at once; mask 0 is skipped: no graph without edges counts as connected
+    masks = np.arange(1, 1 << k * k, dtype=np.uint16)
+    rows = [masks >> i * k & full for i in range(k)]
+    # undirected neighbours of vertex j, as vertex bitmasks: row j and column j
+    nbr = [rows[j] | sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(k)]
+    seen = np.ones_like(masks)  # flood fill from vertex 0: k - 1 rounds reach its component
+    for _ in range(k - 1):
+        for i in range(k):
+            seen |= np.where(seen >> i & 1, nbr[i], 0)
+    yield from masks[seen == full].tolist()
 
 
 def conjecture_scan(k_max: int) -> ScanReport:

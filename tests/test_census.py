@@ -15,9 +15,11 @@ from symgraph import (
     enumerate_words,
     enumeration_cap,
     complete_graph,
+    format_word,
     golden_graph,
     graph_from_bitmask,
     is_admissible,
+    iter_combined_word_sets,
     iter_connected_bitmasks,
     iter_word_sets,
     linear_graph,
@@ -337,6 +339,196 @@ class TestEnumeration:
         assert len(ws) == 1
         assert ws.strings() == ["X" * 50]
         assert "X" * 50 in ws
+
+
+@st.composite
+def levels_and_walks(draw):
+    """A level of a random graph on up to 5 letters, with one- or
+    two-character symbols, and a letter tuple of its length that may or
+    may not be a walk of the graph."""
+    k = draw(st.integers(1, 5))
+    bits = draw(st.lists(st.integers(0, 1), min_size=k * k, max_size=k * k))
+    adj = tuple(tuple(bits[i * k:(i + 1) * k]) for i in range(k))
+    symbols = draw(st.sampled_from(("abcde", "éxyzw", ("v0", "v1", "v2", "v3", "v4"))))
+    graph = DirectedGraph(Alphabet(tuple(symbols[:k])), adj)
+    n = draw(st.integers(1, 6))
+    letters = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # follow successor lists where there are any, so that most words are walks
+        for p in range(1, n):
+            succ = graph._succ[letters[p - 1]]
+            if succ:
+                letters[p] = succ[letters[p] % len(succ)]
+    return graph, enumerate_words(graph, n), tuple(letters)
+
+
+def word_forms(alphabet, word):
+    """Fresh copies of one word in every accepted form."""
+    syms = alphabet.symbols
+    forms = [
+        tuple(word), list(word), iter(word), (x for x in word),
+        tuple(np.int64(x) for x in word), [np.uint8(x) for x in word], tuple(np.intp(x) for x in word),
+        tuple(syms[x] for x in word), [syms[x] for x in word], iter([syms[x] for x in word]),
+        [syms[x] if p % 2 else x for p, x in enumerate(word)],
+    ]
+    if all(x < 2 for x in word):
+        forms += [tuple(bool(x) for x in word), [float(x) for x in word]]
+    if all(len(s) == 1 for s in syms):
+        forms.append("".join(syms[x] for x in word))
+    return forms
+
+
+def non_words(alphabet, word, length):
+    """Forms that no level of this length holds."""
+    k, syms = alphabet.k, alphabet.symbols
+    out = [word + (0,), word[:-1], (), (-1,) * length, (k,) * length, (np.int64(-1),) * length,
+           word[:-1] + (k + 7,), word[:-1] + (np.int64(k),), word[:-1] + ("?",),
+           tuple(syms[x] for x in word[:-1]) + ("",), [2 ** 70] * length]
+    if any(len(s) != 1 for s in syms):
+        # strings need a single-character alphabet, whatever their length
+        out += ["".join(syms[x] for x in word), "a" * length, syms[0] * length]
+    return out
+
+
+class TestMembership:
+    """`word in level` agrees with is_admissible for every accepted word
+    form, and is False for anything that is no word of the level."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=levels_and_walks())
+    @example(case=(golden_graph(), enumerate_words(golden_graph(), 3), (0, 2, 0)))
+    def test_agrees_with_is_admissible(self, case):
+        graph, level, word = case
+        for form, again in zip(word_forms(graph.alphabet, word), word_forms(graph.alphabet, word)):
+            assert (form in level) is is_admissible(graph, again)
+        for form in non_words(graph.alphabet, word, level.length):
+            assert form not in level
+
+    def test_object_level(self):
+        g = two_cycle_graph()
+        level = enumerate_words(g, 70)
+        assert level._codes.dtype == object
+        words = [tuple((p + s) % 2 for p in range(70)) for s in (0, 1)] + [(0,) * 70, (0, 1) * 34 + (1, 1)]
+        for word in words:
+            for form, again in zip(word_forms(g.alphabet, word), word_forms(g.alphabet, word)):
+                assert (form in level) is is_admissible(g, again) is (word[0] != word[1] and word[-1] != word[-2])
+            for form in non_words(g.alphabet, word, 70):
+                assert form not in level
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=levels_and_walks())
+    def test_contains_code_is_a_bool(self, case):
+        graph, level, _ = case
+        codes = level.codes()
+        present = set(codes)
+        for code in codes + [c + 1 for c in codes] + [-1, 0, graph.k ** level.length]:
+            answer = level.contains_code(code)
+            assert type(answer) is bool
+            assert answer is (code in present)
+        # codes past int64 are absent from an int64 level, not an error
+        assert level._codes.dtype == np.int64
+        for code in (2 ** 63, 2 ** 63 + 1, 2 ** 64, 2 ** 64 + codes[0] if codes else 2 ** 65, -(2 ** 63) - 1):
+            assert level.contains_code(code) is False
+
+    def test_contains_code_on_object_level(self):
+        level = enumerate_words(two_cycle_graph(), 70)
+        for code in level.codes():
+            assert level.contains_code(code) is True
+            assert level.contains_code(code + 1) is False
+        assert level.contains_code(2 ** 70) is False
+        assert level.contains_code(-1) is False
+
+
+def divmod_words(level):
+    """Independent oracle: each code split into base-k digits by divmod."""
+    k = level.alphabet.k
+    words = []
+    for code in level.codes():
+        letters = []
+        for _ in range(level.length):
+            code, letter = divmod(code, k)
+            letters.append(letter)
+        words.append(tuple(reversed(letters)))
+    return words
+
+
+def divmod_strings(level):
+    syms = level.alphabet.symbols
+    sep = "" if all(len(s) == 1 for s in syms) else "."
+    return [sep.join(syms[x] for x in word) for word in divmod_words(level)]
+
+
+def relabeled(graph, symbols):
+    return DirectedGraph(Alphabet(tuple(symbols)), graph.adjacency)
+
+
+class TestDecode:
+    """Iteration and strings() decode codes exactly as divmod does."""
+
+    @staticmethod
+    def check(level):
+        words = list(level)
+        assert words == divmod_words(level)
+        assert all(type(w) is tuple and all(type(x) is int for x in w) for w in words)
+        strings = level.strings()
+        assert strings == divmod_strings(level)
+        assert all(type(s) is str for s in strings)
+        assert strings == [format_word(level.alphabet, w) for w in words]
+
+    # a NUL symbol last in a word must survive as it does in format_word
+    @pytest.mark.parametrize("symbols", ["XYZ", "éxy", ("ab", "c", "de"), "X\0Z"])
+    def test_int64_and_object_levels(self, symbols):
+        g = relabeled(golden_graph(), symbols)
+        fast = list(iter_word_sets(g, 12))
+        slow = _object_levels(g, 12)
+        assert fast[-1]._codes.dtype == np.int64 and slow[-1]._codes.dtype == object
+        for ws, big in zip(fast, slow):
+            self.check(ws)
+            self.check(big)
+            assert list(ws) == list(big) and ws.strings() == big.strings()
+
+    @pytest.mark.parametrize("symbols", ["XYZ", ("X1", "Y", "Z22")])
+    def test_level_larger_than_one_chunk(self, symbols):
+        g = relabeled(complete_graph(), symbols)
+        ws = enumerate_words(g, 10)
+        big = _object_levels(g, 10)[-1]
+        assert len(ws) == len(big) == 3 ** 10
+        self.check(ws)
+        self.check(big)
+
+    def test_many_letters(self):
+        # k = 12: single-character symbols beyond any small table, and a
+        # two-letter level long enough to need object codes
+        k = 12
+        adj = tuple(tuple(int(j in (i, (i + 5) % k)) for j in range(k)) for i in range(k))
+        g = DirectedGraph(Alphabet(tuple("abcdefghijkl")), adj)
+        for ws in iter_word_sets(g, 7):
+            self.check(ws)
+        self.check(_object_levels(g, 7)[-1])
+
+    def test_empty_level(self):
+        g = DirectedGraph(Alphabet(("X", "Y")), ((0, 0), (0, 0)))
+        for ws in (enumerate_words(g, 3), _object_levels(g, 3)[-1]):
+            assert len(ws) == 0
+            assert list(ws) == [] and ws.strings() == []
+
+    def test_single_letter(self):
+        g = DirectedGraph(Alphabet(("X",)), ((1,),))
+        ws = enumerate_words(g, 40)
+        assert list(ws) == [(0,) * 40] and ws.strings() == ["X" * 40]
+
+    def test_combined_levels_across_a_stint_boundary(self):
+        # golden for lengths 2..4, complete3 for 5..8, golden again for 9..13
+        system = CombinedSystem((golden_graph(), complete_graph()), Schedule.from_stints([4, 4, 5]))
+        fast = list(iter_combined_word_sets(system, 13))
+        g = system.schedule.g
+        stints = [(system.graphs[(m - 1) % 2]._succ, g[m]) for m in range(1, len(g))]
+        slow = list(itertools.islice(_word_sets(system.alphabet, stints, 10 ** 4, 10 ** 6), 13))
+        assert fast[-1]._codes.dtype == np.int64 and slow[-1]._codes.dtype == object
+        for ws, big in zip(fast, slow):
+            assert ws.codes() == big.codes()
+            self.check(ws)
+            self.check(big)
 
 
 class TestOracleEquivalence:
