@@ -81,7 +81,7 @@ def as_indices(alphabet: Alphabet, word: str | Sequence[str] | Sequence[int]) ->
     character (then each character is one letter).
     """
     if isinstance(word, str):
-        if any(len(s) != 1 for s in alphabet.symbols):
+        if _separator(alphabet):
             raise GraphSpecError(
                 "string words need a single-character alphabet; pass a symbol sequence"
             )
@@ -101,9 +101,13 @@ def as_indices(alphabet: Alphabet, word: str | Sequence[str] | Sequence[int]) ->
     return tuple(letters)
 
 
+def _separator(alphabet: Alphabet) -> str:
+    """What joins rendered letters: nothing if every symbol is one character, else a dot."""
+    return "" if all(len(s) == 1 for s in alphabet.symbols) else "."
+
+
 def format_word(alphabet: Alphabet, letters: Sequence[int]) -> str:
-    sep = "" if all(len(s) == 1 for s in alphabet.symbols) else "."
-    return sep.join(alphabet.symbols[i] for i in letters)
+    return _separator(alphabet).join(alphabet.symbols[i] for i in letters)
 
 
 def is_admissible(graph: DirectedGraph, word: str | Sequence[str] | Sequence[int]) -> bool:
@@ -258,13 +262,8 @@ class WordSet:
             yield from zip(*digits.T.tolist())
 
     def strings(self) -> list[str]:
-        symbols = self.alphabet.symbols
-        sep = "" if all(len(s) == 1 for s in symbols) else "."
-        if sep or "\0" in symbols:  # numpy strings drop trailing NULs
-            table = np.array(symbols, dtype=object)
-            return [sep.join(w) for d in self._digits() for w in zip(*table[d].T.tolist())]
-        table = np.array(symbols, dtype="U1")  # one character per letter: a row reads as one string
-        return [s for d in self._digits() for s in table[d].view(f"U{self.length}")[:, 0].tolist()]
+        sep, table = _separator(self.alphabet), np.array(self.alphabet.symbols, dtype=object)
+        return [sep.join(w) for d in self._digits() for w in zip(*table[d].T.tolist())]
 
     def contains_code(self, code: int) -> bool:
         codes = self._codes
@@ -282,9 +281,7 @@ class WordSet:
         code = 0
         for letter in letters:
             code = code * k + letter
-        codes = self._codes
-        pos = codes.searchsorted(code)
-        return bool(pos < codes.size and codes[pos] == code)
+        return self.contains_code(code)
 
 
 def _word_sets(
