@@ -94,9 +94,12 @@ def as_indices(alphabet: Alphabet, word: str | Sequence[str] | Sequence[int]) ->
         elif isinstance(item, str):
             letters.append(alphabet.index(item))
         else:
-            idx = int(item)
-            if not 0 <= idx < k:
-                raise GraphSpecError(f"letter index {idx} out of range for k={k}")
+            try:
+                idx = int(item)
+            except (TypeError, ValueError, OverflowError):
+                idx = -1  # out of range: None, nan, inf and 1+0j are no letters
+            if idx != item or not 0 <= idx < k:  # 1.0 and numpy ints are letters, 0.5 is not
+                raise GraphSpecError(f"letter {item!r} is neither a symbol nor an index below {k}")
             letters.append(idx)
     return tuple(letters)
 

@@ -26,6 +26,7 @@ import functools
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,6 +65,7 @@ from .presets import (
     quartic_schedule,
 )
 from .spectral import (
+    MIXED,
     char_poly,
     classify_growth,
     closed_form,
@@ -323,12 +325,10 @@ def cmd_scan(args: argparse.Namespace) -> ExperimentOutput:
         [[str(r.bitmask), str(r.k), _fmt_bool(r.strongly_connected),
           r.kind, _fmt_float(r.rho), str(r.poly_degree)] for r in report.rows],
     ))
-    summary_rows = [
-        [str(k), str(candidates)]
-        + [str(sum(r.k == k for r in rows))
-           for rows in (report.rows, report.mixed_strongly_connected, report.mixed_weakly_only)]
-        for k, candidates in report.candidates_by_k
-    ]
+    tally = Counter((r.k, r.kind == MIXED, r.strongly_connected) for r in report.rows)
+    summary_rows = [[str(k), str(candidates), str(sum(n for key, n in tally.items() if key[0] == k)),
+                     str(tally[k, True, True]), str(tally[k, True, False])]
+                    for k, candidates in report.candidates_by_k]
     out.tables.append(Table(
         "scan_summary",
         ["k", "candidates", "weakly_connected_graphs", "mixed_strongly_connected", "mixed_weakly_only"],

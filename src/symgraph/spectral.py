@@ -11,8 +11,9 @@ verifies the recurrence in exact arithmetic, extracts the closed form,
 classifies the resulting growth (exponential / polynomial / mixed), and
 scans all small weakly connected digraphs for mixed-growth witnesses.
 The growth class of a graph on up to 4 letters is kept per isomorphism
-class: the canonical graph of the class (least bitmask over relabelings)
-is classified, so the scan classifies 2,912 classes, not 61,789 graphs.
+class, under its canonical bitmask (the least over relabelings), read
+from one table per k; the scan builds, classifies and reachability-tests
+one graph per class, 2,912 graphs, not 61,789.
 The polynomial vanishing at the matrix proves the recurrence at every n
 at once, checked on one row vector of k packed integers; when it does
 not vanish, the same packed integers hold its nonzero entries, the
@@ -576,9 +577,10 @@ def classify_growth(source: DirectedGraph | ClosedForm) -> GrowthClass:
     a graph on up to 4 letters is classified once per isomorphism class:
     the canonical graph of the class, the one with the least row-major
     bitmask over all k! relabelings, is classified, and its GrowthClass is
-    kept under (k, that bitmask).  The 61,344 weakly connected graphs on 4
-    labeled letters fall into 2,818 classes.  A larger graph is classified
-    every time, as its canonical form would cost k! relabelings.
+    kept under (k, that bitmask), read from one table per k (_canonical).
+    The 61,344 weakly connected graphs on 4 labeled letters fall into
+    2,818 classes.  A larger graph is classified every time, as its
+    canonical form would cost k! relabelings.
 
     For a closed form, terms whose coefficient modulus is below COEFF_TOL
     (relative to the largest coefficient) do not participate: rho is the
@@ -590,12 +592,11 @@ def classify_growth(source: DirectedGraph | ClosedForm) -> GrowthClass:
     k = source.k
     if k not in _SCAN_ROWS:
         return _classify_graph(source)
-    row_bits, tables = _relabelings(k)
+    row_bits = _ROW_BITS[k]
     mask = 0
     for s in reversed(source._succ):
         mask = mask << k | row_bits[s]
-    low, high = mask & 255, mask >> 8
-    return _class_of(k, min([lo[low] | hi[high] for lo, hi in tables]))
+    return _class_of(k, int(_canonical(k)[mask]))
 
 
 @lru_cache(maxsize=None)
@@ -605,28 +606,20 @@ def _class_of(k: int, least: int) -> GrowthClass:
 
 
 @lru_cache(maxsize=None)
-def _relabelings(k: int) -> tuple[dict[tuple[int, ...], int], tuple]:
-    """The row bits of each successor list on k letters, and the relabeling tables.
+def _canonical(k: int) -> np.ndarray:
+    """Entry m is the least row-major bitmask over the k! relabelings of mask m.
 
-    A relabeling p of range(k) moves bit i*k + j (the edge i -> j) to bit
-    p[i]*k + p[j], and the image of a mask is the union of the images of
-    its bits; so per relabeling, one table gives the image of the mask's
-    low byte and one the image of its higher bits, at most 256 entries
-    each.  Built on first use of each k; 0.13 MiB for k = 4.
+    A relabeling p moves row i to row p[i], and column j of every row to
+    column p[j]: one table per p maps each of the 2**k rows to its moved
+    row.  Built on first use of each k; 128 KiB for k = 4.
     """
-    row_bits = {s: r for r, s in enumerate(_SCAN_LISTS[k])}
-    shared: dict[int, int] = {}  # one int object per value, 1,411 of them for k = 4
-    tables = []
+    masks = np.arange(1 << k * k, dtype=np.uint16)
+    rows = [masks >> i * k & (1 << k) - 1 for i in range(k)]
+    least = masks
     for p in permutations(range(k)):
-        images = [1 << (p[b // k] * k + p[b % k]) for b in range(k * k)]
-        pair = []
-        for low in (0, 8):
-            table = [0]  # entry r is the union of the images of r's bits
-            for image in images[low:low + 8]:
-                table += [x | image for x in table]
-            pair.append(tuple(shared.setdefault(x, x) for x in table))
-        tables.append(tuple(pair))
-    return row_bits, tuple(tables)
+        moved = np.array([sum(1 << p[j] for j in s) for s in _SCAN_LISTS[k]], np.uint16)
+        least = np.minimum(least, sum(moved[row] << p[i] * k for i, row in enumerate(rows)))
+    return least
 
 
 def _classify_graph(graph: DirectedGraph) -> GrowthClass:
@@ -731,7 +724,8 @@ class ScanReport:
 
 
 _SCAN_SYMBOLS = ("A", "B", "C", "D")
-# per k: the alphabet, and the 0/1 entries and the index list of the row with bits r < 2**k
+# per k: the alphabet; the 0/1 entries and the index list of the row with bits r < 2**k;
+# and r by its index list
 _SCAN_ALPHABETS = {k: Alphabet(_SCAN_SYMBOLS[:k]) for k in range(1, 5)}
 _SCAN_ROWS = {
     k: tuple(tuple(r >> j & 1 for j in range(k)) for r in range(1 << k)) for k in range(1, 5)
@@ -739,6 +733,7 @@ _SCAN_ROWS = {
 _SCAN_LISTS = {
     k: tuple(tuple(compress(range(k), row)) for row in rows) for k, rows in _SCAN_ROWS.items()
 }
+_ROW_BITS = {k: {s: r for r, s in enumerate(lists)} for k, lists in _SCAN_LISTS.items()}
 
 
 def graph_from_bitmask(k: int, bitmask: int) -> DirectedGraph:
@@ -750,8 +745,7 @@ def graph_from_bitmask(k: int, bitmask: int) -> DirectedGraph:
         raise ValueError(f"k must be between 1 and 4, got {k!r}")
     if not 0 <= bitmask < 1 << k * k:
         raise ValueError(f"bitmask must be in [0, 2**{k * k}), got {bitmask}")
-    full = (1 << k) - 1
-    bits = [bitmask >> i * k & full for i in range(k)]
+    bits = [bitmask >> i * k & (1 << k) - 1 for i in range(k)]
     return _graph_from_rows(_SCAN_ALPHABETS[k], _SCAN_ROWS[k], _SCAN_LISTS[k], bits)
 
 
@@ -781,19 +775,21 @@ def conjecture_scan(k_max: int) -> ScanReport:
     The report lists each graph with its growth class, in canonical
     (k, bitmask) order, so that mixed polynomial-exponential findings can
     be inspected separately for strongly and only-weakly connected graphs.
+    Growth and strong connectivity (validate's reachability check; weak
+    connectivity is already proved) do not change under relabeling, so
+    they are found on one graph per isomorphism class and copied to its
+    labeled rows.
     """
     if not 1 <= k_max <= 4:
         raise ValueError("k_max must be between 1 and 4")
     rows: list[ScanRow] = []
     for k in range(1, k_max + 1):
-        for mask in iter_connected_bitmasks(k):
-            graph = graph_from_bitmask(k, mask)
-            growth = classify_growth(graph)
-            # iter_connected_bitmasks has already proved weak connectivity;
-            # strong connectivity is validate's reachability check
-            strongly = _strongly_connected(graph)
-            rows.append(
-                ScanRow(mask, k, strongly, growth.kind, growth.rho, growth.poly_degree)
-            )
+        masks = list(iter_connected_bitmasks(k))
+        keys = _canonical(k)[masks].tolist()
+        classes = {key: (_strongly_connected(graph_from_bitmask(k, key)), _class_of(k, key))
+                   for key in dict.fromkeys(keys)}
+        for mask, key in zip(masks, keys):
+            strongly, growth = classes[key]
+            rows.append(ScanRow(mask, k, strongly, growth.kind, growth.rho, growth.poly_degree))
     candidates = tuple((k, 1 << (k * k)) for k in range(1, k_max + 1))
     return ScanReport(k_max, candidates, tuple(rows))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from symgraph import (
     CombinedSystem,
     DirectedGraph,
     EnumerationCapError,
+    GraphSpecError,
     count_matrix,
     count_series,
     enumerate_words,
@@ -414,6 +416,28 @@ class TestMembership:
                 assert (form in level) is is_admissible(g, again) is (word[0] != word[1] and word[-1] != word[-2])
             for form in non_words(g.alphabet, word, 70):
                 assert form not in level
+
+    def test_non_integral_letters_are_no_letters(self):
+        # a letter that is neither a symbol nor an integral number in range
+        # raises GraphSpecError naming it, so no level holds the word;
+        # truncating 0.5 and 2.9 would read (0, 2, 0), a walk of golden
+        g = golden_graph()
+        level = enumerate_words(g, 3)
+        assert (0, 2, 0) in level
+        bad = [0.5, 2.9, 0.2, np.float64(2.5), float("nan"), float("inf"), -float("inf"),
+               None, object(), 1 + 0j, 3.0, -1.0, b"1"]
+        for letter in bad:
+            word = (0, letter, 0)
+            assert word not in level
+            with pytest.raises(GraphSpecError, match=re.escape(repr(letter))):
+                is_admissible(g, word)
+        assert [0.5, 2.9, 0.2] not in level
+        with pytest.raises(GraphSpecError, match="0.5"):
+            is_admissible(g, [0.5, 2.9, 0.2])
+        # integral numbers of any type stay letters
+        for form in ((0.0, 2.0, 0.0), (np.int64(0), np.uint8(2), np.intp(0)), (False, True, True)):
+            assert (form in level) is is_admissible(g, form)
+        assert (0.0, 2.0, 0.0) in level and (False, True, True) in level
 
     @settings(max_examples=100, deadline=None)
     @given(case=levels_and_walks())

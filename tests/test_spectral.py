@@ -987,14 +987,26 @@ class TestScan:
         assert all(growth is memoized[0] for growth in memoized)
 
     def test_five_letters_bypass_the_class_memo(self):
-        tables = spectral._relabelings.cache_info().currsize
+        tables = spectral._canonical.cache_info().currsize
         g = graph_from_edges("ABCDE", [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"),
                                        ("E", "A"), ("A", "C")])
         growth = classify_growth(g)
         assert growth.kind == EXPONENTIAL and growth.rho > 1
         assert classify_growth(g) == growth
         assert spectral._class_of.cache_info().currsize == 0
-        assert spectral._relabelings.cache_info().currsize <= tables
+        assert spectral._canonical.cache_info().currsize <= tables
+
+    def test_k3_rows_match_their_own_labeled_graph(self):
+        # each row, copied from its class, equals its own graph classified
+        # and reachability-tested without the class memo
+        report = conjecture_scan(3)
+        assert len(report.rows) == 445
+        for row in report.rows:
+            g = graph_from_bitmask(row.k, row.bitmask)
+            growth = spectral._classify_graph(g)
+            assert (row.strongly_connected, row.kind, row.rho, row.poly_degree) == (
+                spectral._strongly_connected(g), growth.kind, growth.rho, growth.poly_degree
+            )
 
     def test_connected_bitmasks_reject_k_outside_1_to_4(self):
         # k = 5 would loop over 2**25 masks: check only that it raises
@@ -1021,6 +1033,35 @@ class TestScan:
             conjecture_scan(5)
         with pytest.raises(ValueError):
             conjecture_scan(0)
+
+
+def brute_canonical(k, mask):
+    """Least row-major bitmask over all relabelings, moved one edge at a time."""
+    edges = [(i, j) for i in range(k) for j in range(k) if mask >> (i * k + j) & 1]
+    return min(
+        sum(1 << (p[i] * k + p[j]) for i, j in edges) for p in itertools.permutations(range(k))
+    )
+
+
+class TestCanonicalTable:
+    def test_matches_brute_force(self):
+        for k in (1, 2, 3):
+            assert spectral._canonical(k).tolist() == [
+                brute_canonical(k, mask) for mask in range(1 << (k * k))
+            ]
+        table = spectral._canonical(4)
+        sample = random.Random(4).sample(range(1 << 16), 3_000) + [0, (1 << 16) - 1]
+        for mask in sample:
+            assert int(table[mask]) == brute_canonical(4, mask)
+
+    def test_keys_are_fixed_points(self):
+        # A000595: 2, 10, 104 and 3,044 classes of all digraphs on 1..4 letters
+        for k, classes in ((1, 2), (2, 10), (3, 104), (4, 3_044)):
+            table = spectral._canonical(k)
+            assert table.size == 1 << (k * k)
+            assert (table[table] == table).all()
+            assert (table <= np.arange(table.size)).all()
+            assert len(np.unique(table)) == classes
 
 
 class TestAlphabetSize:
