@@ -4,11 +4,12 @@ The number of admissible length-n words from symbol i to symbol j is
 entry (i, j) of M**(n-1), in unbounded integer arithmetic.  Count series
 come from exact vector walks: the words ending in each letter are summed
 over the letter's predecessor list, one letter at a time, and the words
-starting at each letter walk the successor lists the same way.  The walk
-goes stint by stint, every step one plain-loop 0/1 matrix-vector product
-(`_step`).  A single graph is the one-stint schedule of the walk that
-also counts combined systems.  `total_count` forms 1^T M**(n-1) by
-binary powers from memoized squares (`intmat.vec_pow`), and
+starting at each letter walk the successor lists the same way.  Every
+count is one walk (`_walk`), stint by stint, to ascending lengths: one
+plain-loop 0/1 matrix-vector product (`_step`) per step between
+successive lengths, one binary power from memoized squares
+(`intmat.vec_pow`) per longer gap.  A single graph is the one-stint
+schedule, walked to every length (`count_series`) or to one (`total_count`).
 `count_matrix` forms each row e_i^T M**(n-1) from the same squares.
 Enumeration realizes the same census independently, by iterating the
 1-letter extension map on the set of all words, starting from the
@@ -32,9 +33,10 @@ and words are decoded 2**14 codes at a time by digit extraction.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -181,7 +183,8 @@ def total_count(graph: DirectedGraph, n: int) -> int:
     """Exact number of admissible length-n words: 1^T M**(n-1) 1."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    return sum(vec_pow((1,) * graph.k, graph.adjacency, n - 1))
+    (vec,) = _walk(graph.k, ((graph._pred, graph.adjacency, n),), (n,))
+    return sum(vec)
 
 
 def _step(pred: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
@@ -195,37 +198,51 @@ def _step(pred: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
     return out
 
 
-def _walk(k: int, stints: Sequence[Stint], n_max: int) -> Iterator[list[int]]:
-    """Yield the row vector 1^T A_2 ... A_n for n = 1..n_max.
+def _walk(
+    k: int, stints: Iterable[tuple[SuccTable, IntMatrix | None, int]], lengths: Sequence[int]
+) -> Iterator[Sequence[int]]:
+    """Yield the row vector 1^T A_2 ... A_n at each n of the ascending lengths.
 
-    Each stint (pred, last) lists, for each letter, the letters that may
-    precede it at the steps that produce lengths up to last; A_j is the
-    0/1 matrix it describes.  Entry v of the n-th vector counts the
-    length-n words ending in v.
+    Stint (pred, matrix, last) gives A_j for the steps to lengths up to
+    last, as predecessor lists and as a matrix; only a gap of more than
+    one step reads the matrix, so a walk to every length needs none.
+    Entry v of the n-th vector counts the length-n words ending in v.
     """
-    vec = [1] * k
-    yield vec
-    n = 1
-    for pred, last in stints:
-        for n in range(n + 1, min(last, n_max) + 1):
-            vec = _step(pred, vec)
-            yield vec
+    vec, j, i, end = [1] * k, 1, 0, len(lengths)
+    if lengths[0] == 1:
+        yield vec
+        i = 1
+    for pred, matrix, last in stints:
+        b = end if lengths[-1] <= last else bisect_right(lengths, last, i)
+        if lengths[b - 1] - j == b - i:  # just j+1, j+2, ...: a plain loop, no test per step
+            for j in range(j + 1, lengths[b - 1] + 1):
+                vec = _step(pred, vec)
+                yield vec
+        else:
+            for n in lengths[i:b]:
+                vec = _step(pred, vec) if n == j + 1 else vec_pow(vec, matrix, n - j)
+                j = n
+                yield vec
+        if b == end:
+            return
+        vec = _step(pred, vec) if last == j + 1 else vec_pow(vec, matrix, last - j)
+        j, i = last, b
 
 
 def count_series(graph: DirectedGraph, n_max: int) -> CountSeries:
-    """Counts for n = 1..n_max by two one-stint vector walks.
+    """Counts for n = 1..n_max by two one-stint vector walks to every length.
 
     Column sums walk the predecessor lists.  Row sums walk the successor
     lists, which are the predecessor lists of the reversed graph.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    k = graph.k
-    ends = _walk(k, ((graph._pred, n_max),), n_max)
-    starts = _walk(k, ((graph._succ, n_max),), n_max)
+    k, lengths = graph.k, range(1, n_max + 1)
+    ends = _walk(k, ((graph._pred, None, n_max),), lengths)
+    starts = _walk(k, ((graph._succ, None, n_max),), lengths)
     rows = tuple(
         CountRow(n, sum(col), tuple(row), tuple(col))
-        for n, row, col in zip(range(1, n_max + 1), starts, ends)
+        for n, row, col in zip(lengths, starts, ends)
     )
     return CountSeries(graph.alphabet, rows)
 

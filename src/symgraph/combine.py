@@ -11,13 +11,12 @@ bounds for the bundled example systems exact.  A single graph is the
 system of one graph, the constant (autonomous) schedule.
 
 Every path reads the schedule as the stints of `_stints`, each (graph,
-last length it extends to).  `combined_count` pushes the row vector 1^T
-through each stint by binary powers of A_m from memoized squares
-(`intmat.vec_pow`), and the system keeps the vector of its last count,
-so milestone counts taken in ascending order resume where the last one
-stopped.  `combined_count_series` walks the stints (`census._walk`) and
-`iter_combined_word_sets` extends word sets along them
-(`census._word_sets`), as for the one stint of a single graph.
+last length it extends to).  Every count is one walk along them
+(`census._walk`), to one length (`combined_count`), to every length
+(`combined_count_series`) or to the ascending milestones
+(`presets.milestone_counts`); the walk keeps nothing, and a system is
+never written to.  `iter_combined_word_sets` extends word sets along the
+same stints (`census._word_sets`), as for the one stint of a single graph.
 
 Unlike the words of one graph, a subword of an admissible combined word
 need not be admissible; `find_inadmissible_subword` finds the first such
@@ -31,11 +30,11 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 from .census import WordSet, _walk, _word_sets, enumeration_cap, format_word
 from .graphs import Alphabet, DirectedGraph, GraphSpecError
-from .intmat import vec_pow
 
 
 class ScheduleExhaustedError(RuntimeError):
@@ -101,7 +100,7 @@ def parse_schedule(text: str) -> Schedule:
     return Schedule.from_stints(values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CombinedSystem:
     """One or more graphs on one ordered alphabet, driven by a schedule.
 
@@ -110,10 +109,6 @@ class CombinedSystem:
 
     graphs: tuple[DirectedGraph, ...]
     schedule: Schedule
-    # (j, row vector 1^T A_2 ... A_j) from the last `combined_count` call
-    _last_count: tuple[int, tuple[int, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not self.graphs:
@@ -142,44 +137,32 @@ def active_index(system: CombinedSystem, j: int) -> int:
     return (m - 1) % len(system.graphs)
 
 
-def _stints(system: CombinedSystem, n_max: int, j: int = 1) -> list[tuple[DirectedGraph, int]]:
-    """(graph, last length it extends to) for each stint, from the one that
-    extends to length j + 1 (or holds n_max) through the one reaching n_max.
-
-    Raises ScheduleExhaustedError when n_max lies beyond the horizon.
-    """
+def _stints(system: CombinedSystem, n_max: int) -> list[tuple[DirectedGraph, int]]:
+    """(graph, last length it extends to) for each stint through the one
+    reaching n_max; ScheduleExhaustedError when n_max is beyond the horizon."""
     sched, graphs = system.schedule, system.graphs
     top = sched.stint_index(n_max)
-    first = sched.stint_index(min(j + 1, n_max))
-    return [(graphs[(m - 1) % len(graphs)], sched.g[m]) for m in range(first, top + 1)]
+    return [(graphs[(m - 1) % len(graphs)], sched.g[m]) for m in range(1, top + 1)]
+
+
+def _counts(system: CombinedSystem, lengths: Sequence[int]) -> list[tuple[int, int]]:
+    """(n, count) at each n of the non-empty ascending lengths, by one walk (`census._walk`)."""
+    stints = [(graph._pred, graph.adjacency, last) for graph, last in _stints(system, lengths[-1])]
+    return [(n, sum(vec)) for n, vec in zip(lengths, _walk(system.k, stints, lengths))]
 
 
 def combined_count(system: CombinedSystem, n: int) -> int:
-    """Exact count of combined words of length n (sum over endpoints).
-
-    The row vector 1^T is pushed through each stint segment as
-    vec <- vec * A_m**len, by binary powers.  The system keeps the vector
-    of its last call: a call with n at or beyond that length resumes from
-    it, a shorter one restarts at length 1.
-    """
+    """Exact count of combined words of length n (sum over endpoints), by one walk."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    last = system._last_count
-    j, vec = last if last is not None and last[0] <= n else (1, (1,) * system.k)
-    for graph, hi in _stints(system, n, j):
-        hi = min(hi, n)
-        vec = vec_pow(vec, graph.adjacency, hi - j)
-        j = hi
-    object.__setattr__(system, "_last_count", (n, vec))
-    return sum(vec)
+    return _counts(system, (n,))[0][1]
 
 
 def combined_count_series(system: CombinedSystem, n_max: int) -> list[tuple[int, int]]:
     """(n, count) for n = 1..n_max by one vector walk along the schedule."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    stints = [(graph._pred, last) for graph, last in _stints(system, n_max)]
-    return [(n, sum(vec)) for n, vec in enumerate(_walk(system.k, stints, n_max), start=1)]
+    return _counts(system, range(1, n_max + 1))
 
 
 def iter_combined_word_sets(system: CombinedSystem, n_max: int, cap: int | None = None):

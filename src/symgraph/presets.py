@@ -21,9 +21,11 @@ rho**n, which no single graph can do.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
+from operator import mul
 
-from .census import total_count
-from .combine import BoundReport, CombinedSystem, Schedule, combined_count
+from .census import _walk
+from .combine import BoundReport, CombinedSystem, Schedule, _counts
 from .graphs import DirectedGraph, graph_from_edges
 
 GOLDEN_LINEAR = "golden-linear"
@@ -78,10 +80,11 @@ def quartic_schedule(t_max: int) -> Schedule:
 def milestone_counts(system: CombinedSystem, t_max: int) -> list[tuple[int, int]]:
     """((t+1)**4, exact count) for t = 1..t_max, within the schedule's horizon.
 
-    The milestones ascend, so each count resumes from the previous one.
+    The milestones ascend, so one walk along the schedule takes every count.
     """
-    milestones = ((t + 1) ** 4 for t in range(1, t_max + 1))
-    return [(n, combined_count(system, n)) for n in milestones if n <= system.schedule.horizon]
+    horizon = system.schedule.horizon
+    milestones = [(t + 1) ** 4 for t in range(1, t_max + 1) if (t + 1) ** 4 <= horizon]
+    return _counts(system, milestones) if milestones else []
 
 
 def golden_linear_system(t_max: int) -> CombinedSystem:
@@ -96,48 +99,43 @@ def fibonacci(n: int) -> int:
     """Exact Fibonacci number, fast doubling; fib(1) = fib(2) = 1."""
     if n < 0:
         raise ValueError("negative index")
-
-    def pair(m: int) -> tuple[int, int]:
-        if m == 0:
-            return 0, 1
-        a, b = pair(m >> 1)
-        c = a * ((b << 1) - a)
-        d = a * a + b * b
-        if m & 1:
-            return d, c + d
-        return c, d
-
-    return pair(n)[0]
+    a, b = 0, 1  # fib(m), fib(m + 1) for m the leading bits of n read so far
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a
 
 
-def _golden_linear_sandwich(t: int) -> tuple[int, int]:
-    """(lower, upper) for the golden-linear system after t stint pairs.
+def _golden_linear_sandwiches(t_max: int) -> list[tuple[int, int]]:
+    """(lower, upper) for the golden-linear system after t = 1..t_max stint pairs.
 
     The lower bound is the product of Fibonacci numbers fib(s_{2i-1})
     (an exact integer identity for the golden-ratio power differences);
-    the upper bound is the single-graph golden count at length (t+1)**2
-    times 1 + 2 * (total linear-graph steps).
+    the upper bound is the single-graph golden count at length
+    s_1 + s_3 + ... + s_{2t-1} = (t+1)**2 times 1 + 2 * (total
+    linear-graph steps).  The golden counts come from one walk.
     """
-    odd = [quartic_stint(2 * i - 1) for i in range(1, t + 1)]
-    even = [quartic_stint(2 * i) for i in range(1, t + 1)]
-    lower = math.prod(fibonacci(s) for s in odd)
-    upper = total_count(golden_graph(), sum(odd)) * (1 + 2 * sum(even))
-    return lower, upper
+    odd = [quartic_stint(2 * t - 1) for t in range(1, t_max + 1)]
+    lengths, golden = list(accumulate(odd)), golden_graph()
+    counts = map(sum, _walk(golden.k, ((golden._pred, golden.adjacency, lengths[-1]),), lengths))
+    steps = accumulate(quartic_stint(2 * t) for t in range(1, t_max + 1))
+    lowers = accumulate(map(fibonacci, odd), mul)
+    return [(lower, count * (1 + 2 * s)) for lower, count, s in zip(lowers, counts, steps)]
 
 
-def _complete_linear_sandwich(t: int) -> tuple[int, int]:
-    """(lower, upper) for the complete-linear system after t stint pairs.
+def _complete_linear_sandwiches(t_max: int) -> list[tuple[int, int]]:
+    """(lower, upper) for the complete-linear system after t = 1..t_max stint pairs.
 
     3**((t+1)**2) < count < 3**((t+1)**2) * prod(2 * s_{2i} + 1).
     """
-    even = [quartic_stint(2 * i) for i in range(1, t + 1)]
-    lower = 3 ** ((t + 1) ** 2)
-    return lower, lower * math.prod(2 * s + 1 for s in even)
+    factors = accumulate((2 * quartic_stint(2 * t) + 1 for t in range(1, t_max + 1)), mul)
+    return [(3 ** ((t + 1) ** 2), 3 ** ((t + 1) ** 2) * f) for t, f in enumerate(factors, start=1)]
 
 
 _PRESETS = {
-    GOLDEN_LINEAR: (golden_linear_system, _golden_linear_sandwich),
-    COMPLETE_LINEAR: (complete_linear_system, _complete_linear_sandwich),
+    GOLDEN_LINEAR: (golden_linear_system, _golden_linear_sandwiches),
+    COMPLETE_LINEAR: (complete_linear_system, _complete_linear_sandwiches),
 }
 
 
@@ -147,12 +145,10 @@ def preset_bounds(name: str, t_max: int) -> list[BoundReport]:
         raise ValueError(f"unknown system {name!r}")
     if t_max < 1:
         return []
-    make_system, sandwich = _PRESETS[name]
-    reports = []
-    for t, (n, count) in enumerate(milestone_counts(make_system(t_max), t_max), start=1):
-        lower, upper = sandwich(t)
-        reports.append(BoundReport(t, n, lower, count, upper))
-    return reports
+    make_system, sandwiches = _PRESETS[name]
+    pairs = zip(milestone_counts(make_system(t_max), t_max), sandwiches(t_max))
+    return [BoundReport(t, n, lower, count, upper)
+            for t, ((n, count), (lower, upper)) in enumerate(pairs, start=1)]
 
 
 def golden_linear_bounds(t: int) -> BoundReport:

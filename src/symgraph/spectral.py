@@ -12,8 +12,8 @@ classifies the resulting growth (exponential / polynomial / mixed), and
 scans all small weakly connected digraphs for mixed-growth witnesses.
 The growth class of a graph on up to 4 letters is kept per isomorphism
 class, under its canonical bitmask (the least over relabelings), read
-from one table per k; the scan builds, classifies and reachability-tests
-one graph per class, 2,912 graphs, not 61,789.
+from one table per k; the scan builds and classifies one graph per class,
+2,912 graphs, not 61,789, and one component means strongly connected.
 The polynomial vanishing at the matrix proves the recurrence at every n
 at once, checked on one row vector of k packed integers; when it does
 not vanish, the same packed integers hold its nonzero entries, the
@@ -46,7 +46,7 @@ from math import gcd
 import numpy as np
 
 from .graphs import Alphabet, DirectedGraph, strongly_connected_components
-from .graphs import _graph_from_rows, _strongly_connected
+from .graphs import _components, _graph_from_rows
 from .census import _step, count_series
 
 # for classifying a closed form only: the float distance at which two root
@@ -775,10 +775,9 @@ def conjecture_scan(k_max: int) -> ScanReport:
     The report lists each graph with its growth class, in canonical
     (k, bitmask) order, so that mixed polynomial-exponential findings can
     be inspected separately for strongly and only-weakly connected graphs.
-    Growth and strong connectivity (validate's reachability check; weak
-    connectivity is already proved) do not change under relabeling, so
-    they are found on one graph per isomorphism class and copied to its
-    labeled rows.
+    Growth and strong connectivity (one component; weak connectivity is
+    already proved) do not change under relabeling, so they are found on
+    one graph per isomorphism class and copied to its labeled rows.
     """
     if not 1 <= k_max <= 4:
         raise ValueError("k_max must be between 1 and 4")
@@ -786,8 +785,11 @@ def conjecture_scan(k_max: int) -> ScanReport:
     for k in range(1, k_max + 1):
         masks = list(iter_connected_bitmasks(k))
         keys = _canonical(k)[masks].tolist()
-        classes = {key: (_strongly_connected(graph_from_bitmask(k, key)), _class_of(k, key))
-                   for key in dict.fromkeys(keys)}
+        lists, full, classes = _SCAN_LISTS[k], (1 << k) - 1, {}
+        for key in dict.fromkeys(keys):
+            growth = _class_of(k, key)  # memoizes the class graph's components
+            succ = tuple(lists[key >> i * k & full] for i in range(k))
+            classes[key] = len(_components(succ)) == 1, growth  # so is a lone vertex
         for mask, key in zip(masks, keys):
             strongly, growth = classes[key]
             rows.append(ScanRow(mask, k, strongly, growth.kind, growth.rho, growth.poly_degree))

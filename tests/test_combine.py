@@ -40,7 +40,7 @@ from symgraph import (
     total_count,
 )
 from symgraph.census import _word_sets
-from symgraph.combine import SubwordWitness
+from symgraph.combine import SubwordWitness, _counts
 
 
 def oracle_combined_words(system, n):
@@ -251,7 +251,7 @@ class TestOneGraphSystem:
         horizon = system.schedule.horizon
         n_max = data.draw(st.integers(1, min(horizon, 9)))
         assert combined_count_series(system, horizon) == count_series(graph, horizon).totals()
-        # any order: ascending calls resume, descending ones restart
+        # any order: every call walks from length 1
         for n in data.draw(st.lists(st.integers(1, horizon), max_size=4)):
             assert combined_count(system, n) == total_count(graph, n)
         combined = [ws.codes() for ws in iter_combined_word_sets(system, n_max)]
@@ -287,7 +287,7 @@ class TestCombinedCounts:
         n_max = system.schedule.horizon
         series = combined_count_series(system, n_max)
         assert series == [(j, combined_count(system, j)) for j in range(1, n_max + 1)]
-        # calls in any order resume or restart from the system's last count
+        # calls in any order, each from length 1, give the same counts
         lengths = list(range(1, n_max + 1))
         shuffled = data.draw(st.permutations(lengths))
         repeated = data.draw(st.lists(st.sampled_from(lengths), max_size=12))
@@ -329,6 +329,27 @@ class TestCombinedCounts:
             sorted(set(system.schedule.g[1:]) | {2, 100, 399, 400, 401, 624, 625})))
         for j in lengths:
             assert combined_count(system, j) == expected[j]
+
+    @settings(max_examples=80, deadline=None)
+    @given(system=random_systems(), data=st.data())
+    def test_any_lengths_in_any_order(self, system, data):
+        k, horizon = system.k, system.schedule.horizon
+        lengths = data.draw(st.lists(st.integers(1, horizon), min_size=1, max_size=8, unique=True))
+        series = dict(combined_count_series(system, horizon))
+        identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        for n in data.draw(st.permutations(lengths)):
+            matrices = [system.graphs[active_index(system, j)].adjacency for j in range(2, n + 1)]
+            assert combined_count(system, n) == series[n] == oracle_product_total([identity] + matrices)
+        # one walk through all of them, gaps and runs alike
+        assert _counts(system, sorted(lengths)) == [(n, series[n]) for n in sorted(lengths)]
+
+    def test_two_thousand_one_letter_stints(self):
+        # every stint is one step, taken over the predecessor lists
+        system = CombinedSystem((golden_graph(), complete_graph()), Schedule.from_stints([1] * 2000))
+        series = combined_count_series(system, 2000)
+        assert series == reference_walk_totals(system, 2000)
+        for n in (1, 2, 3, 4, 999, 1000, 1001, 1999, 2000):
+            assert combined_count(system, n) == series[n - 1][1]
 
     def test_ordered_product_identity(self):
         # oracle: naive sequential product of per-stint power lists

@@ -34,7 +34,7 @@ from symgraph import (
     two_cycle_graph,
     verify_recurrence,
 )
-from symgraph import census, spectral
+from symgraph import census, graphs, spectral
 from symgraph.intmat import mat_mul
 from symgraph.spectral import CharPoly, RecurrenceReport, _squarefree_factors
 
@@ -1005,8 +1005,23 @@ class TestScan:
             g = graph_from_bitmask(row.k, row.bitmask)
             growth = spectral._classify_graph(g)
             assert (row.strongly_connected, row.kind, row.rho, row.poly_degree) == (
-                spectral._strongly_connected(g), growth.kind, growth.rho, growth.poly_degree
+                graphs._strongly_connected(g), growth.kind, growth.rho, growth.poly_degree
             )
+
+    def test_scan_builds_each_class_graph_once(self, monkeypatch):
+        # from empty memos: strong connectivity is read from the components
+        # the classification memoized, not from a second build of the graph
+        builds = Counter()
+        build = spectral._graph_from_rows
+
+        def counted(alphabet, *rest):
+            builds[alphabet.k] += 1
+            return build(alphabet, *rest)
+
+        monkeypatch.setattr(spectral, "_graph_from_rows", counted)
+        conjecture_scan(4)
+        classes = {k: len(set(canonical_masks(k, list(iter_connected_bitmasks(k))))) for k in range(1, 5)}
+        assert builds == classes and sum(builds.values()) == 2_912
 
     def test_connected_bitmasks_reject_k_outside_1_to_4(self):
         # k = 5 would loop over 2**25 masks: check only that it raises
