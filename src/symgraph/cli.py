@@ -30,6 +30,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .census import (
     DEFAULT_ENUM_CAP,
@@ -319,13 +321,10 @@ def cmd_combine(args: argparse.Namespace) -> ExperimentOutput:
 def cmd_scan(args: argparse.Namespace) -> ExperimentOutput:
     report = conjecture_scan(args.k_max)
     out = ExperimentOutput(_manifest(args))
-    out.tables.append(Table(
-        "scan_table",
-        ["bitmask", "k", "strongly_connected", "kind", "rho", "poly_degree"],
-        [[str(r.bitmask), str(r.k), _fmt_bool(r.strongly_connected),
-          r.kind, _fmt_float(r.rho), str(r.poly_degree)] for r in report.rows],
-    ))
-    tally = Counter((r.k, r.kind == MIXED, r.strongly_connected) for r in report.rows)
+    out.tables.append(Table("scan_table", *report.table()))
+    tally = Counter()
+    for c, orbit in zip(report.classes, np.bincount(report.index).tolist()):
+        tally[c.k, c.kind == MIXED, c.strongly_connected] += orbit
     summary_rows = [[str(k), str(candidates), str(sum(n for key, n in tally.items() if key[0] == k)),
                      str(tally[k, True, True]), str(tally[k, True, False])]
                     for k, candidates in report.candidates_by_k]

@@ -12,8 +12,8 @@ classifies the resulting growth (exponential / polynomial / mixed), and
 scans all small weakly connected digraphs for mixed-growth witnesses.
 The growth class of a graph on up to 4 letters is kept per isomorphism
 class, under its canonical bitmask (the least over relabelings), read
-from one table per k; the scan builds and classifies one graph per class,
-2,912 graphs, not 61,789, and one component means strongly connected.
+from one table per k; the scan classifies one graph per class, 2,912, and
+holds each of the 61,789 labeled rows as its bitmask and class index.
 The polynomial vanishing at the matrix proves the recurrence at every n
 at once, checked on one row vector of k packed integers; when it does
 not vanish, the same packed integers hold its nonzero entries, the
@@ -47,7 +47,7 @@ import numpy as np
 
 from .graphs import Alphabet, DirectedGraph, strongly_connected_components
 from .graphs import _components, _graph_from_rows
-from .census import _step, count_series
+from .census import _step, _walk
 
 # for classifying a closed form only: the float distance at which two root
 # moduli count as equal, and the relative modulus below which a term is absent
@@ -457,6 +457,14 @@ class ClosedForm:
     zero_multiplicity: int
 
     def evaluate(self, n: int) -> float:
+        """The form at n in floats, for reporting; exact counts come from census.
+
+        At simple roots it is close: on 37 seeded graphs with k = 8..96,
+        every n <= 200 was within a relative 2.7e-11 (1e-12 for k <= 48).
+        Terms at a root of multiplicity above 1 come from float Taylor
+        series and can be far off: chains of 40 / 60 / 100 looped vertices,
+        (x-1)^k, read relative errors of 4.1e-2 / 1.0e10 / 8.5e33 at n = k + 5.
+        """
         acc = 0j
         for term in self.terms:
             scale = term.root ** n
@@ -499,8 +507,8 @@ def _w_series(p: list[int] | tuple[int, ...], root: complex, terms: int) -> list
 
 def _numerator(graph: DirectedGraph, poly: CharPoly) -> list[int]:
     """N = D*G mod x^(k+1), low-first, from the exact counts t(1..k)."""
-    d = poly.coefficients
-    t = [0] + [row.total for row in count_series(graph, poly.degree).rows]
+    d, k = poly.coefficients, graph.k
+    t = [0] + [sum(vec) for vec in _walk(k, ((graph._pred, None, k),), range(1, k + 1))]
     return [sum(d[i] * t[n - i] for i in range(n + 1)) for n in range(len(d))]
 
 
@@ -695,11 +703,20 @@ class ScanRow:
     poly_degree: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanReport:
+    """Each isomorphism class as its canonical graph's row; each labeled row as its class's index."""
+
     k_max: int
     candidates_by_k: tuple[tuple[int, int], ...]  # (k, 2**(k*k))
-    rows: tuple[ScanRow, ...]
+    classes: tuple[ScanRow, ...]  # each class's canonical graph, by ascending (k, bitmask)
+    masks: np.ndarray    # the labeled rows' bitmasks, by ascending (k, bitmask)
+    index: np.ndarray    # each labeled row's position in classes
+
+    @property
+    def rows(self) -> tuple[ScanRow, ...]:
+        tails = [(c.k, c.strongly_connected, c.kind, c.rho, c.poly_degree) for c in self.classes]
+        return tuple(ScanRow(m, *tails[i]) for m, i in zip(self.masks.tolist(), self.index.tolist()))
 
     @property
     def mixed_rows(self) -> tuple[ScanRow, ...]:
@@ -713,14 +730,16 @@ class ScanReport:
     def mixed_weakly_only(self) -> tuple[ScanRow, ...]:
         return tuple(r for r in self.mixed_rows if not r.strongly_connected)
 
+    def table(self) -> tuple[list[str], list[list[str]]]:
+        """The columns and rows of the scan table; each class's cells are formatted once."""
+        tails = [[str(c.k), "true" if c.strongly_connected else "false", c.kind, repr(c.rho), str(c.poly_degree)]
+                 for c in self.classes]
+        rows = [[m, *tails[i]] for m, i in zip(map(str, self.masks.tolist()), self.index.tolist())]
+        return ["bitmask", "k", "strongly_connected", "kind", "rho", "poly_degree"], rows
+
     def to_csv(self) -> str:
-        lines = ["bitmask,k,strongly_connected,kind,rho,poly_degree"]
-        for r in self.rows:
-            lines.append(
-                f"{r.bitmask},{r.k},{str(r.strongly_connected).lower()},"
-                f"{r.kind},{r.rho!r},{r.poly_degree}"
-            )
-        return "\n".join(lines) + "\n"
+        columns, rows = self.table()
+        return "\n".join(map(",".join, [columns, *rows])) + "\n"
 
 
 _SCAN_SYMBOLS = ("A", "B", "C", "D")
@@ -754,6 +773,11 @@ def iter_connected_bitmasks(k: int):
 
     k must be 1..4, as for graph_from_bitmask; ValueError otherwise.
     """
+    yield from _connected_masks(k).tolist()
+
+
+def _connected_masks(k: int) -> np.ndarray:
+    """The bitmasks of iter_connected_bitmasks, ascending, in one array."""
     if k not in _SCAN_ALPHABETS:
         raise ValueError(f"k must be between 1 and 4, got {k!r}")
     full = (1 << k) - 1
@@ -766,7 +790,7 @@ def iter_connected_bitmasks(k: int):
     for _ in range(k - 1):
         for i in range(k):
             seen |= np.where(seen >> i & 1, nbr[i], 0)
-    yield from masks[seen == full].tolist()
+    return masks[seen == full]
 
 
 def conjecture_scan(k_max: int) -> ScanReport:
@@ -777,21 +801,23 @@ def conjecture_scan(k_max: int) -> ScanReport:
     be inspected separately for strongly and only-weakly connected graphs.
     Growth and strong connectivity (one component; weak connectivity is
     already proved) do not change under relabeling, so they are found on
-    one graph per isomorphism class and copied to its labeled rows.
+    the canonical graph of each isomorphism class, which each row indexes.
     """
     if not 1 <= k_max <= 4:
         raise ValueError("k_max must be between 1 and 4")
-    rows: list[ScanRow] = []
+    classes: list[ScanRow] = []
+    masks, index = [], []
     for k in range(1, k_max + 1):
-        masks = list(iter_connected_bitmasks(k))
-        keys = _canonical(k)[masks].tolist()
-        lists, full, classes = _SCAN_LISTS[k], (1 << k) - 1, {}
-        for key in dict.fromkeys(keys):
+        masks.append(_connected_masks(k))
+        keys, inverse = np.unique(_canonical(k)[masks[-1]], return_inverse=True)
+        index.append(inverse + len(classes))
+        lists, full = _SCAN_LISTS[k], (1 << k) - 1
+        for key in keys.tolist():
             growth = _class_of(k, key)  # memoizes the class graph's components
             succ = tuple(lists[key >> i * k & full] for i in range(k))
-            classes[key] = len(_components(succ)) == 1, growth  # so is a lone vertex
-        for mask, key in zip(masks, keys):
-            strongly, growth = classes[key]
-            rows.append(ScanRow(mask, k, strongly, growth.kind, growth.rho, growth.poly_degree))
+            strongly = len(_components(succ)) == 1  # so is a lone vertex
+            classes.append(ScanRow(key, k, strongly, growth.kind, growth.rho, growth.poly_degree))
+    masks, index = np.concatenate(masks), np.concatenate(index)
+    masks.flags.writeable = index.flags.writeable = False  # a report is a value
     candidates = tuple((k, 1 << (k * k)) for k in range(1, k_max + 1))
-    return ScanReport(k_max, candidates, tuple(rows))
+    return ScanReport(k_max, candidates, tuple(classes), masks, index)

@@ -379,6 +379,33 @@ class TestScan:
     def test_k_max_out_of_range(self, tmp_path):
         assert main(["scan", "--k-max", "5", "--out", str(tmp_path / "o")]) == 1
 
+    def test_k3_bytes_in_both_formats(self, tmp_path):
+        # the CLI's own files; the csv table has the digest of ScanReport.to_csv
+        pinned = {
+            "csv": {
+                "scan_table": "4692c0d0515d8d0c88dfbae86335c92aeb8e1ef8339d04a03241c24543ba8505",
+                "scan_summary": "63f3f988ce79c9a1160fac124dc8e497b41e2d56aa933a73f8d80d2ee70bdd17",
+            },
+            "json": {
+                "scan_table": "cf909420185a0ca5f87e965eb8d2bd7ddf7e235067d755187cef71a15df40e04",
+                "scan_summary": "f53026da6ccb399e5a9788e4f88651bd8208cbdbc0f142a0f51fc92bb409b858",
+            },
+        }
+        for fmt, digests in pinned.items():
+            out = tmp_path / fmt
+            assert main(["scan", "--k-max", "3", "--format", fmt, "--out", str(out)]) == 0
+            assert {
+                name: hashlib.sha256((out / f"{name}.{fmt}").read_bytes()).hexdigest()
+                for name in digests
+            } == digests, fmt
+
+    def test_k4_summary_counts_every_labeled_graph(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["scan", "--k-max", "4", "--out", str(out)]) == 0
+        summary = read_tables(out)["scan_summary"].strip().split("\n")[1:]
+        # weakly connected digraphs on 1..4 labeled vertices (OEIS A003027)
+        assert [line.split(",")[2] for line in summary] == ["1", "12", "432", "61344"]
+
 
 class TestEntropyFit:
     def test_single_graph(self, tmp_path, graph_files):

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -845,7 +846,7 @@ class TestStructuralClass:
             raise AssertionError("the structural class must not compute counts, residues or roots")
 
         monkeypatch.setattr(census, "count_series", forbidden)
-        monkeypatch.setattr(spectral, "count_series", forbidden)
+        monkeypatch.setattr(spectral, "_walk", forbidden)
         monkeypatch.setattr(spectral, "closed_form", forbidden)
         monkeypatch.setattr(spectral, "_w_series", forbidden)
         monkeypatch.setattr(spectral, "char_poly", forbidden)
@@ -1022,6 +1023,21 @@ class TestScan:
         conjecture_scan(4)
         classes = {k: len(set(canonical_masks(k, list(iter_connected_bitmasks(k))))) for k in range(1, 5)}
         assert builds == classes and sum(builds.values()) == 2_912
+
+    def test_k4_report_keeps_no_per_row_objects(self):
+        # with the class memo warm, the report is the classes and two columns
+        # of 61,789 labeled rows; one object per row would take about 10 MiB
+        conjecture_scan(4)
+        tracemalloc.start()
+        try:
+            report = conjecture_scan(4)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 2 << 20, retained
+        assert len(report.masks) == 61_789 and len(report.classes) == 2_912
+        with pytest.raises(ValueError, match="read-only"):
+            report.index[0] = 1
 
     def test_connected_bitmasks_reject_k_outside_1_to_4(self):
         # k = 5 would loop over 2**25 masks: check only that it raises
