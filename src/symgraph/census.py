@@ -22,12 +22,13 @@ per length.  Code order equals lexicographic word order.  Extension is a
 multiply-add per word, c*k + u for each successor u of the last letter in
 ascending order, so an ascending level extends to an ascending level
 without a sort, and the letters u are carried as the next level's last
-letters.  Levels are int64 when every code fits, otherwise object arrays
-of Python integers, extended by the same code.  Extension goes stint by
+letters.  An extension is one chain of array-method calls sized by the
+cumulative fan-out.  Level n is int64 while k**n <= 2**63, else Python
+integers in an object array, extended alike.  Extension goes stint by
 stint, as the walk does, so a single graph and a combined system share it.
 
-Reads cost array time: membership is one coercion and one binary search,
-and words are decoded 2**14 codes at a time by digit extraction.
+Reads cost array time: a tuple of in-range ints folds in one pass, then
+one binary search; words decode 2**14 codes at a time by digit extraction.
 """
 
 from __future__ import annotations
@@ -254,8 +255,10 @@ def count_series(graph: DirectedGraph, n_max: int) -> CountSeries:
 class WordSet:
     """Immutable set of equal-length words, stored as base-k codes.
 
-    Membership folds one coerced word into its code and binary searches
-    the codes; iteration and `strings()` decode 2**14 codes at a time.
+    Membership folds a tuple of plain in-range ints into its code in one
+    pass, and any other word form (or a tuple that turns out to hold
+    another kind of letter) after coercion, then binary searches the
+    codes; iteration and `strings()` decode 2**14 codes at a time.
     """
 
     def __init__(self, alphabet: Alphabet, length: int, codes: np.ndarray):
@@ -291,17 +294,23 @@ class WordSet:
         return bool(pos < codes.size and codes[pos] == code)
 
     def __contains__(self, word) -> bool:
-        try:
-            letters = as_indices(self.alphabet, word)
-        except GraphSpecError:
-            return False
+        if word.__class__ is not tuple or (code := self._fold(word)) is None:
+            try:
+                code = self._fold(as_indices(self.alphabet, word))
+            except GraphSpecError:
+                return False
+        return code is not None and self.contains_code(code)
+
+    def _fold(self, letters: Sequence[int]) -> int | None:
+        """The code of a word of this length in plain in-range ints, else None."""
         if len(letters) != self.length:
-            return False
-        k = self.alphabet.k
-        code = 0
+            return None
+        k, code = self.alphabet.k, 0
         for letter in letters:
+            if letter.__class__ is not int or not 0 <= letter < k:
+                return None
             code = code * k + letter
-        return self.contains_code(code)
+        return code
 
 
 def _word_sets(
@@ -312,40 +321,41 @@ def _word_sets(
     Each stint (succ, last) lists, for each letter, the letters that may
     follow it at the extensions to lengths up to last.  Each code c emits
     its children c*k + u in ascending u, so an ascending level extends to
-    an ascending level.  The cap is checked from the per-letter fan-out
-    before the next level is allocated.
+    an ascending level.  The cap is checked against the last entry of the
+    cumulative fan-out before the next level is allocated.  Codes are int64
+    up to the last length n with k**n <= 2**63, object arrays after it.
     """
     k = alphabet.k
-    # codes and their intermediates c*k + u stay below k**n_max
-    dtype = np.int64 if k ** n_max <= 2 ** 63 else object
     if k > cap:
         raise EnumerationCapError(1, k, cap)
-    codes = np.arange(k, dtype=dtype)
+    codes = np.arange(k, dtype=np.int64)
     ends = np.arange(k, dtype=np.intp)  # the last letter of each word
     yield WordSet(alphabet, 1, codes)
     n = 1
     for succ, last in stints:
         deg = np.array([len(s) for s in succ], dtype=np.intp)
-        start = np.cumsum(deg) - deg
+        stop = deg.cumsum()  # the successors of u are flat[stop[u] - deg[u]:stop[u]]
         flat = np.array([u for s in succ for u in s], dtype=np.intp)
         for n in range(n + 1, min(last, n_max) + 1):
-            fan = deg[ends]
-            size = int(fan.sum())
+            fan = deg.take(ends)
+            cum = fan.cumsum()
+            size = int(cum[-1]) if cum.size else 0
             if size > cap:
                 raise EnumerationCapError(n, size, cap)
-            # child i of code c lands at index first_c + i of the next level
-            # and takes its letter from flat[start[ends[c]] + i]; pos maps the
-            # one to the other.  Temporaries are updated in place and dropped
-            # early, so the peak stays near two next-level arrays.
-            pos = start[ends]
-            del ends
-            pos -= np.cumsum(fan)
-            pos += fan
-            pos = np.repeat(pos, fan)
+            # child i of code c lands at index cum[c] - fan[c] + i of the next
+            # level and takes its letter from flat[stop[ends[c]] - fan[c] + i];
+            # pos maps the one to the other.  Temporaries are updated in place
+            # and dropped early, so the peak stays near two next-level arrays.
+            pos = stop.take(ends)
+            pos -= cum
+            del ends, cum
+            pos = pos.repeat(fan)
             pos += np.arange(size)
             # the children's last letters; "clip" takes in place, unbuffered
-            ends = np.take(flat, pos, out=pos, mode="clip")
-            codes = np.repeat(codes, fan)
+            ends = flat.take(pos, out=pos, mode="clip")
+            if k ** n > 2 ** 63 >= k ** (n - 1):  # from here on codes c*k + u may pass int64
+                codes = codes.astype(object)
+            codes = codes.repeat(fan)
             codes *= k
             codes += ends
             del fan, pos  # the frame outlives the yield

@@ -30,6 +30,7 @@ from symgraph import (
     combined_count_series,
     total_count,
     two_cycle_graph,
+    WordSet,
 )
 from symgraph.census import _word_sets
 from symgraph.intmat import mat_mul, vec_mul, vec_pow
@@ -47,10 +48,22 @@ def random_graphs(draw, k_max):
     return DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(k))), adj)
 
 
+def _as_objects(levels):
+    """The levels with their codes cast to Python ints in object arrays."""
+    return [WordSet(ws.alphabet, ws.length, ws._codes.astype(object)) for ws in levels]
+
+
 def _object_levels(graph, n):
-    """The first n levels with a long n_max: Python ints for k > 1."""
-    levels = _word_sets(graph.alphabet, ((graph._succ, 10 ** 4),), 10 ** 4, 10 ** 6)
-    return list(itertools.islice(levels, n))
+    """The first n levels with Python-int codes, as every level past int64 holds them."""
+    return _as_objects(iter_word_sets(graph, n))
+
+
+def walk_words(graph, n):
+    """Independent oracle: all walks of n letters, by extending tuples one letter at a time."""
+    words = [(v,) for v in range(graph.k)]
+    for _ in range(n - 1):
+        words = [w + (u,) for w in words for u in range(graph.k) if graph.adjacency[w[-1]][u]]
+    return words
 
 
 def mat_pow(m, e):
@@ -294,8 +307,7 @@ class TestEnumeration:
         fast = list(iter_word_sets(graph, n_max))
         assert fast[-1]._codes.dtype == np.int64
         slow = _object_levels(graph, n_max)
-        # a 1-letter alphabet fits int64 at every length
-        assert slow[-1]._codes.dtype == (object if graph.k > 1 else np.int64)
+        assert slow[-1]._codes.dtype == object
         assert len(fast) == len(slow) == n_max
         for n, ws, big in zip(range(1, n_max + 1), fast, slow):
             codes = ws.codes()
@@ -306,18 +318,31 @@ class TestEnumeration:
             )
             assert codes == expected
             assert big.codes() == codes
-            if graph.k > 1:
-                assert all(type(c) is int for c in big._codes)
+            assert all(type(c) is int for c in big._codes)
 
     def test_int64_boundary(self):
         # two letters: every code is below 2**63 through n = 63; at n = 64
-        # the word BABA... has code 2**63 + 2**61 + ... + 2
+        # the word BABA... has code 2**63 + 2**61 + ... + 2.  The dtype is
+        # chosen per level, so only the last level of a run to 64 is objects.
         g = two_cycle_graph()
-        for n, dtype in ((63, np.int64), (64, object)):
-            levels = list(iter_word_sets(g, n))
-            assert levels[-1]._codes.dtype == dtype
-            assert [ws.codes() for ws in levels] == [ws.codes() for ws in _object_levels(g, n)]
+        levels = list(iter_word_sets(g, 64))
+        assert [ws._codes.dtype for ws in levels] == [np.dtype(np.int64)] * 63 + [np.dtype(object)]
+        assert [ws.codes() for ws in levels] == [ws.codes() for ws in _object_levels(g, 64)]
         assert levels[-1].codes()[-1] == sum(2 ** p for p in range(1, 64, 2))
+        assert all(type(c) is int for c in levels[-1]._codes)
+
+    def test_object_levels_extend_object_levels(self):
+        # 16 letters: 16**15 = 2**60 fits, 16**16 = 2**64 does not, so
+        # levels 16..24 are object arrays, each extended from the last
+        k = 16
+        adj = tuple(tuple(int(j == (i + 1) % k or i == j == 0) for j in range(k)) for i in range(k))
+        g = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(k))), adj)
+        levels = list(iter_word_sets(g, 24))
+        assert [ws._codes.dtype for ws in levels] == [np.dtype(np.int64)] * 15 + [np.dtype(object)] * 9
+        for n, ws in enumerate(levels, 1):
+            words = sorted(walk_words(g, n))
+            assert list(ws) == words
+            assert ws.codes() == [sum(x * k ** p for p, x in enumerate(reversed(w))) for w in words]
 
     def test_cap_error_reports_exact_count(self):
         g = complete_graph()
@@ -454,6 +479,49 @@ class TestMembership:
         for code in (2 ** 63, 2 ** 63 + 1, 2 ** 64, 2 ** 64 + codes[0] if codes else 2 ** 65, -(2 ** 63) - 1):
             assert level.contains_code(code) is False
 
+    @staticmethod
+    def fallback_forms(alphabet, word):
+        """Tuples that open with plain ints and then hold a letter of another
+        kind, and forms that are no tuple of the word's length."""
+        k, syms = alphabet.k, alphabet.symbols
+        forms = []
+        for p, x in enumerate(word):
+            for odd in (np.int64(x), True, k, -1, 0.5, syms[x], syms[(x + 1) % k]):
+                forms.append(word[:p] + (odd,) + word[p + 1:])
+        forms += [word + (word[-1],), word[:-1], list(word), "".join(syms[x] for x in word)]
+        return forms
+
+    @staticmethod
+    def expected(graph, form, n):
+        try:
+            return is_admissible(graph, form) and len(form) == n
+        except GraphSpecError:
+            return False
+
+    def check_fallbacks(self, graph, level, word):
+        for form in self.fallback_forms(graph.alphabet, word):
+            assert (form in level) is self.expected(graph, form, level.length), form
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=levels_and_walks())
+    def test_fallback_forms_agree_with_is_admissible(self, case):
+        self.check_fallbacks(*case)
+
+    def test_fallback_forms_on_int64_and_object_levels(self):
+        g = golden_graph()
+        level = enumerate_words(g, 3)
+        assert level._codes.dtype == np.int64
+        for word in itertools.product(range(3), repeat=3):
+            self.check_fallbacks(g, level, word)
+        # a letter of another kind after plain ints restarts the fold
+        assert (0, 2, np.int64(0)) in level and (0, 2, "X") in level and (0, True, 2) not in level
+        g = two_cycle_graph()
+        level = enumerate_words(g, 70)
+        assert level._codes.dtype == object
+        for word in ((0, 1) * 35, (1, 0) * 35, (0, 1) * 34 + (1, 1)):
+            self.check_fallbacks(g, level, word)
+        assert (0, 1) * 34 + (np.int64(0), 1) in level and (0, 1) * 34 + (True, 0) not in level
+
     def test_contains_code_on_object_level(self):
         level = enumerate_words(two_cycle_graph(), 70)
         for code in level.codes():
@@ -461,6 +529,55 @@ class TestMembership:
             assert level.contains_code(code + 1) is False
         assert level.contains_code(2 ** 70) is False
         assert level.contains_code(-1) is False
+
+
+class TestLevelSizes:
+    """Each level's size, read from the cumulative fan-out, is the exact count."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=random_graphs(5), n_max=st.integers(1, 9))
+    @example(graph=DirectedGraph(Alphabet(("x", "y", "z")), ((0, 1, 0), (0, 0, 1), (0, 0, 0))), n_max=7)
+    def test_sizes_are_the_count_series(self, graph, n_max):
+        sizes = [len(ws) for ws in iter_word_sets(graph, n_max)]
+        assert sizes == [row.total for row in count_series(graph, n_max).rows]
+
+    def test_levels_past_the_first_empty_level(self):
+        # x -> y -> z dies out at length 4; every later level extends an empty one
+        g = DirectedGraph(Alphabet(("x", "y", "z")), ((0, 1, 0), (0, 0, 1), (0, 0, 0)))
+        levels = list(iter_word_sets(g, 8))
+        assert [len(ws) for ws in levels] == [3, 2, 1, 0, 0, 0, 0, 0]
+        assert [len(ws) for ws in levels] == [row.total for row in count_series(g, 8).rows]
+        for ws in levels[3:]:
+            assert ws.codes() == [] and list(ws) == [] and (2,) * ws.length not in ws
+
+    @pytest.mark.parametrize("graphs, stints", [
+        ((golden_graph(), complete_graph()), [4, 4, 5]),
+        # an edgeless stint empties every level from its first length on
+        ((complete_graph(), DirectedGraph(Alphabet(("X", "Y", "Z")), ((0,) * 3,) * 3)), [3, 2, 4, 3]),
+    ])
+    def test_combined_sizes_across_stint_boundaries(self, graphs, stints):
+        system = CombinedSystem(graphs, Schedule.from_stints(stints))
+        n_max = sum(stints) - 1
+        sizes = [len(ws) for ws in iter_combined_word_sets(system, n_max)]
+        assert sizes == [count for _, count in combined_count_series(system, n_max)]
+        cap = max(sizes) - 1
+        with pytest.raises(EnumerationCapError) as err:
+            list(iter_combined_word_sets(system, n_max, cap=cap))
+        first = next(n for n, size in enumerate(sizes, 1) if size > cap)
+        assert (err.value.length, err.value.count, err.value.cap) == (first, sizes[first - 1], cap)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=random_graphs(5), n_max=st.integers(1, 9), data=st.data())
+    def test_cap_error_reports_the_exact_count(self, graph, n_max, data):
+        totals = [row.total for row in count_series(graph, n_max).rows]
+        cap = data.draw(st.integers(0, max(totals)))
+        first = next((n for n, total in enumerate(totals, 1) if total > cap), None)
+        if first is None:
+            assert len(list(iter_word_sets(graph, n_max, cap=cap))) == n_max
+            return
+        with pytest.raises(EnumerationCapError) as err:
+            list(iter_word_sets(graph, n_max, cap=cap))
+        assert (err.value.length, err.value.count, err.value.cap) == (first, totals[first - 1], cap)
 
 
 def divmod_words(level):
@@ -547,7 +664,7 @@ class TestDecode:
         fast = list(iter_combined_word_sets(system, 13))
         g = system.schedule.g
         stints = [(system.graphs[(m - 1) % 2]._succ, g[m]) for m in range(1, len(g))]
-        slow = list(itertools.islice(_word_sets(system.alphabet, stints, 10 ** 4, 10 ** 6), 13))
+        slow = _as_objects(_word_sets(system.alphabet, stints, 13, 10 ** 6))
         assert fast[-1]._codes.dtype == np.int64 and slow[-1]._codes.dtype == object
         for ws, big in zip(fast, slow):
             assert ws.codes() == big.codes()

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -38,6 +37,7 @@ from symgraph import (
     quartic_schedule,
     quartic_stint,
     total_count,
+    WordSet,
 )
 from symgraph.census import _word_sets
 from symgraph.combine import SubwordWitness, _counts
@@ -419,16 +419,18 @@ class TestCombinedEnumeration:
     @given(system=random_systems(), n_max=st.integers(1, 8))
     def test_levels_ascending_and_equal_on_both_paths(self, system, n_max):
         # every level strictly ascending, equal to the step oracle's codes,
-        # and the same on int64 and, forced by a long n_max, on Python ints
+        # and the same on int64 and, cast as levels past int64 hold them, on Python ints
         n_max = min(n_max, system.schedule.horizon)
         k = system.k
         fast = list(iter_combined_word_sets(system, n_max))
         assert fast[-1]._codes.dtype == np.int64
         g = system.schedule.g
         stints = [(system.graphs[(m - 1) % len(system.graphs)]._succ, g[m]) for m in range(1, len(g))]
-        slow = list(itertools.islice(_word_sets(system.alphabet, stints, 10 ** 4, 10 ** 6), n_max))
-        # a 1-letter alphabet fits int64 at every length
-        assert slow[-1]._codes.dtype == (object if k > 1 else np.int64)
+        slow = [
+            WordSet(ws.alphabet, ws.length, ws._codes.astype(object))
+            for ws in _word_sets(system.alphabet, stints, n_max, 10 ** 6)
+        ]
+        assert slow[-1]._codes.dtype == object
         assert len(fast) == len(slow) == n_max
         for n, ws, big in zip(range(1, n_max + 1), fast, slow):
             codes = ws.codes()
@@ -439,8 +441,7 @@ class TestCombinedEnumeration:
             )
             assert codes == expected
             assert big.codes() == codes
-            if k > 1:
-                assert all(type(c) is int for c in big._codes)
+            assert all(type(c) is int for c in big._codes)
 
     def test_three_graph_system(self):
         # full rotation through three graphs, counts vs the step oracle
