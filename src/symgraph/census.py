@@ -1,20 +1,19 @@
 """Exact counting and explicit enumeration of admissible words.
 
 The number of admissible length-n words from symbol i to symbol j is
-entry (i, j) of M**(n-1), in unbounded integer arithmetic.  Count series
-come from exact vector walks: the words ending in each letter are summed
-over the letter's predecessor list, one letter at a time, and the words
-starting at each letter walk the successor lists the same way.  Every
-count is one walk (`_walk`), stint by stint, to ascending lengths: one
-plain-loop 0/1 matrix-vector product (`_step`) per step between
-successive lengths, one binary power from memoized squares
-(`intmat.vec_pow`) per longer gap.  A single graph is the one-stint
-schedule, walked to every length (`count_series`) or to one (`total_count`).
-`count_matrix` forms each row e_i^T M**(n-1) from the same squares.
-Enumeration realizes the same census independently, by iterating the
-1-letter extension map on the set of all words, starting from the
-alphabet itself.  The routes are checked against each other in the
-test suite.
+entry (i, j) of M**(n-1), in unbounded integer arithmetic.  A stint is
+(graph, last length it extends to), and a single graph is the one stint
+((graph, n),).  A count at chosen lengths is one walk (`_walk`) along
+the stints: the words ending in each letter sum over its predecessor
+list, one plain-loop 0/1 matrix-vector product (`_step`) per step
+between successive lengths, one binary power of the graph's matrix from
+memoized squares (`intmat.vec_pow`) per longer gap.  `count_series`
+steps the column sums (predecessor lists) and the row sums (successor
+lists) together, one `_step` each per length.  `count_matrix` forms each
+row e_i^T M**(n-1) from the same squares.  Enumeration realizes the same
+census independently, by iterating the 1-letter extension map on the
+set of all words, starting from the alphabet itself.  The routes are
+checked against each other in the test suite.
 
 Enumerated words of length n over k symbols are carried as base-k integer
 codes (most significant digit = first letter), one ascending numpy array
@@ -24,8 +23,8 @@ ascending order, so an ascending level extends to an ascending level
 without a sort, and the letters u are carried as the next level's last
 letters.  An extension is one chain of array-method calls sized by the
 cumulative fan-out.  Level n is int64 while k**n <= 2**63, else Python
-integers in an object array, extended alike.  Extension goes stint by
-stint, as the walk does, so a single graph and a combined system share it.
+integers in an object array, extended alike.  Extension reads the same
+stints as the walk, so a single graph and a combined system share it.
 
 Reads cost array time: a tuple of in-range ints folds in one pass, then
 one binary search; words decode 2**14 codes at a time by digit extraction.
@@ -37,7 +36,7 @@ import os
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -48,9 +47,8 @@ DEFAULT_ENUM_CAP = 10_000_000
 ENUM_CAP_ENV = "SYMGRAPH_ENUM_CAP"
 
 Word = tuple[int, ...]
-SuccTable = tuple[tuple[int, ...], ...]
-# (predecessor or successor table, last length it extends to); stints ascend
-Stint = tuple[SuccTable, int]
+# (graph performing the extensions, last length it extends to); stints ascend
+Stint = tuple[DirectedGraph, int]
 
 
 class EnumerationCapError(RuntimeError):
@@ -184,7 +182,7 @@ def total_count(graph: DirectedGraph, n: int) -> int:
     """Exact number of admissible length-n words: 1^T M**(n-1) 1."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    (vec,) = _walk(graph.k, ((graph._pred, graph.adjacency, n),), (n,))
+    (vec,) = _walk(((graph, n),), (n,))
     return sum(vec)
 
 
@@ -199,21 +197,20 @@ def _step(pred: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
     return out
 
 
-def _walk(
-    k: int, stints: Iterable[tuple[SuccTable, IntMatrix | None, int]], lengths: Sequence[int]
-) -> Iterator[Sequence[int]]:
+def _walk(stints: Sequence[Stint], lengths: Sequence[int]) -> Iterator[Sequence[int]]:
     """Yield the row vector 1^T A_2 ... A_n at each n of the ascending lengths.
 
-    Stint (pred, matrix, last) gives A_j for the steps to lengths up to
-    last, as predecessor lists and as a matrix; only a gap of more than
-    one step reads the matrix, so a walk to every length needs none.
+    Stint (graph, last) gives A_j, the graph's matrix, for the steps to
+    lengths up to last: one step sums over its predecessor lists, a gap
+    of more than one step is a binary power of its adjacency matrix.
     Entry v of the n-th vector counts the length-n words ending in v.
     """
-    vec, j, i, end = [1] * k, 1, 0, len(lengths)
+    vec, j, i, end = [1] * stints[0][0].k, 1, 0, len(lengths)
     if lengths[0] == 1:
         yield vec
         i = 1
-    for pred, matrix, last in stints:
+    for graph, last in stints:
+        pred = graph._pred
         b = end if lengths[-1] <= last else bisect_right(lengths, last, i)
         if lengths[b - 1] - j == b - i:  # just j+1, j+2, ...: a plain loop, no test per step
             for j in range(j + 1, lengths[b - 1] + 1):
@@ -221,31 +218,30 @@ def _walk(
                 yield vec
         else:
             for n in lengths[i:b]:
-                vec = _step(pred, vec) if n == j + 1 else vec_pow(vec, matrix, n - j)
+                vec = _step(pred, vec) if n == j + 1 else vec_pow(vec, graph.adjacency, n - j)
                 j = n
                 yield vec
         if b == end:
             return
-        vec = _step(pred, vec) if last == j + 1 else vec_pow(vec, matrix, last - j)
+        vec = _step(pred, vec) if last == j + 1 else vec_pow(vec, graph.adjacency, last - j)
         j, i = last, b
 
 
 def count_series(graph: DirectedGraph, n_max: int) -> CountSeries:
-    """Counts for n = 1..n_max by two one-stint vector walks to every length.
+    """Counts for n = 1..n_max, the column and row sums stepped together.
 
-    Column sums walk the predecessor lists.  Row sums walk the successor
-    lists, which are the predecessor lists of the reversed graph.
+    Column sums step over the predecessor lists.  Row sums step over the
+    successor lists, which are the predecessor lists of the reversed graph.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    k, lengths = graph.k, range(1, n_max + 1)
-    ends = _walk(k, ((graph._pred, None, n_max),), lengths)
-    starts = _walk(k, ((graph._succ, None, n_max),), lengths)
-    rows = tuple(
-        CountRow(n, sum(col), tuple(row), tuple(col))
-        for n, row, col in zip(lengths, starts, ends)
-    )
-    return CountSeries(graph.alphabet, rows)
+    pred, succ = graph._pred, graph._succ
+    ends = starts = [1] * graph.k
+    rows = [CountRow(1, graph.k, tuple(starts), tuple(ends))]
+    for n in range(2, n_max + 1):
+        ends, starts = _step(pred, ends), _step(succ, starts)
+        rows.append(CountRow(n, sum(ends), tuple(starts), tuple(ends)))
+    return CountSeries(graph.alphabet, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +309,17 @@ class WordSet:
         return code
 
 
-def _word_sets(
-    alphabet: Alphabet, stints: Sequence[Stint], n_max: int, cap: int
-) -> Iterator[WordSet]:
+def _word_sets(stints: Sequence[Stint], n_max: int, cap: int) -> Iterator[WordSet]:
     """Word sets for lengths 1..n_max, each extended from the previous.
 
-    Each stint (succ, last) lists, for each letter, the letters that may
-    follow it at the extensions to lengths up to last.  Each code c emits
+    Stint (graph, last) performs the extensions to lengths up to last: a
+    letter may be followed by its successors in the graph.  Each code c emits
     its children c*k + u in ascending u, so an ascending level extends to
     an ascending level.  The cap is checked against the last entry of the
     cumulative fan-out before the next level is allocated.  Codes are int64
     up to the last length n with k**n <= 2**63, object arrays after it.
     """
+    alphabet = stints[0][0].alphabet
     k = alphabet.k
     if k > cap:
         raise EnumerationCapError(1, k, cap)
@@ -332,7 +327,8 @@ def _word_sets(
     ends = np.arange(k, dtype=np.intp)  # the last letter of each word
     yield WordSet(alphabet, 1, codes)
     n = 1
-    for succ, last in stints:
+    for graph, last in stints:
+        succ = graph._succ
         deg = np.array([len(s) for s in succ], dtype=np.intp)
         stop = deg.cumsum()  # the successors of u are flat[stop[u] - deg[u]:stop[u]]
         flat = np.array([u for s in succ for u in s], dtype=np.intp)
@@ -368,7 +364,7 @@ def iter_word_sets(
     """Word sets for n = 1..n_max, each level extended from the previous."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    yield from _word_sets(graph.alphabet, ((graph._succ, n_max),), n_max, enumeration_cap(cap))
+    yield from _word_sets(((graph, n_max),), n_max, enumeration_cap(cap))
 
 
 def enumerate_words(graph: DirectedGraph, n: int, cap: int | None = None) -> WordSet:

@@ -57,9 +57,7 @@ from .presets import (
     COMPLETE_LINEAR,
     GOLDEN_LINEAR,
     asymptotic_envelopes,
-    complete_linear_bounds,
     complete_linear_system,
-    golden_linear_bounds,
     golden_linear_system,
     match_preset,
     milestone_counts,
@@ -74,11 +72,6 @@ from .spectral import (
     conjecture_scan,
     verify_recurrence,
 )
-
-# Per-t bound functions by preset name.  The commands count through
-# `preset_bounds`; the table stays because the benchmark's tracer
-# self-test (perfbench/tests) reads it.
-_BOUND_FNS = {GOLDEN_LINEAR: golden_linear_bounds, COMPLETE_LINEAR: complete_linear_bounds}
 
 EXIT_OK = 0
 EXIT_ERROR = 1

@@ -10,19 +10,21 @@ later stint contributes its full length, which is what makes the growth
 bounds for the bundled example systems exact.  A single graph is the
 system of one graph, the constant (autonomous) schedule.
 
-Every path reads the schedule as the stints of `_stints`, each (graph,
-last length it extends to).  Every count is one walk along them
-(`census._walk`), to one length (`combined_count`), to every length
-(`combined_count_series`) or to the ascending milestones
+Counts and word sets read the schedule as the stints of `_stints`, each
+(graph, last length it extends to), the one stint form of `census`; a
+single graph is the one stint ((graph, n),).  Every count is one walk
+along them (`census._walk`), to one length (`combined_count`), to every
+length (`combined_count_series`) or to the ascending milestones
 (`presets.milestone_counts`); the walk keeps nothing, and a system is
-never written to.  `iter_combined_word_sets` extends word sets along the
-same stints (`census._word_sets`), as for the one stint of a single graph.
+never written to.  `iter_combined_word_sets` hands the same stints to
+the word-set extension (`census._word_sets`).
 
 Unlike the words of one graph, a subword of an admissible combined word
 need not be admissible; `find_inadmissible_subword` finds the first such
 witness by reachability over letter bitmasks in the time-expanded graph
-of the system (Kolyada & Snoha 1996), enumerating no word, so it has no
-cap and no limit on the alphabet.
+of the system (Kolyada & Snoha 1996).  It reads no stint: each word
+position takes its graph from `active_index`.  It enumerates no word, so
+it has no cap and no limit on the alphabet.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .census import WordSet, _walk, _word_sets, enumeration_cap, format_word
+from .census import Stint, WordSet, _walk, _word_sets, enumeration_cap, format_word
 from .graphs import Alphabet, DirectedGraph, GraphSpecError
 
 
@@ -137,7 +139,7 @@ def active_index(system: CombinedSystem, j: int) -> int:
     return (m - 1) % len(system.graphs)
 
 
-def _stints(system: CombinedSystem, n_max: int) -> list[tuple[DirectedGraph, int]]:
+def _stints(system: CombinedSystem, n_max: int) -> list[Stint]:
     """(graph, last length it extends to) for each stint through the one
     reaching n_max; ScheduleExhaustedError when n_max is beyond the horizon."""
     sched, graphs = system.schedule, system.graphs
@@ -147,8 +149,7 @@ def _stints(system: CombinedSystem, n_max: int) -> list[tuple[DirectedGraph, int
 
 def _counts(system: CombinedSystem, lengths: Sequence[int]) -> list[tuple[int, int]]:
     """(n, count) at each n of the non-empty ascending lengths, by one walk (`census._walk`)."""
-    stints = [(graph._pred, graph.adjacency, last) for graph, last in _stints(system, lengths[-1])]
-    return [(n, sum(vec)) for n, vec in zip(lengths, _walk(system.k, stints, lengths))]
+    return [(n, sum(vec)) for n, vec in zip(lengths, _walk(_stints(system, lengths[-1]), lengths))]
 
 
 def combined_count(system: CombinedSystem, n: int) -> int:
@@ -169,8 +170,7 @@ def iter_combined_word_sets(system: CombinedSystem, n_max: int, cap: int | None 
     """Combined word sets for n = 1..n_max."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    stints = [(graph._succ, last) for graph, last in _stints(system, n_max)]
-    yield from _word_sets(system.alphabet, stints, n_max, enumeration_cap(cap))
+    yield from _word_sets(_stints(system, n_max), n_max, enumeration_cap(cap))
 
 
 def combined_enumerate(system: CombinedSystem, n: int, cap: int | None = None) -> WordSet:

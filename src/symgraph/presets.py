@@ -118,7 +118,7 @@ def _golden_linear_sandwiches(t_max: int) -> list[tuple[int, int]]:
     """
     odd = [quartic_stint(2 * t - 1) for t in range(1, t_max + 1)]
     lengths, golden = list(accumulate(odd)), golden_graph()
-    counts = map(sum, _walk(golden.k, ((golden._pred, golden.adjacency, lengths[-1]),), lengths))
+    counts = map(sum, _walk(((golden, lengths[-1]),), lengths))
     steps = accumulate(quartic_stint(2 * t) for t in range(1, t_max + 1))
     lowers = accumulate(map(fibonacci, odd), mul)
     return [(lower, count * (1 + 2 * s)) for lower, count, s in zip(lowers, counts, steps)]

@@ -46,7 +46,7 @@ from math import gcd
 import numpy as np
 
 from .graphs import Alphabet, DirectedGraph, strongly_connected_components
-from .graphs import _components, _graph_from_rows
+from .graphs import _graph_from_rows, _strongly_connected
 from .census import _step, _walk
 
 # for classifying a closed form only: the float distance at which two root
@@ -73,10 +73,6 @@ class IllConditionedError(RuntimeError):
     Nothing in symgraph raises it; it stays because the benchmark
     harness (perfbench) imports it.
     """
-
-    def __init__(self, condition: float):
-        self.condition = condition
-        super().__init__(f"coefficient system condition estimate {condition:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +504,7 @@ def _w_series(p: list[int] | tuple[int, ...], root: complex, terms: int) -> list
 def _numerator(graph: DirectedGraph, poly: CharPoly) -> list[int]:
     """N = D*G mod x^(k+1), low-first, from the exact counts t(1..k)."""
     d, k = poly.coefficients, graph.k
-    t = [0] + [sum(vec) for vec in _walk(k, ((graph._pred, None, k),), range(1, k + 1))]
+    t = [0] + [sum(vec) for vec in _walk(((graph, k),), range(1, k + 1))]
     return [sum(d[i] * t[n - i] for i in range(n + 1)) for n in range(len(d))]
 
 
@@ -604,13 +600,15 @@ def classify_growth(source: DirectedGraph | ClosedForm) -> GrowthClass:
     mask = 0
     for s in reversed(source._succ):
         mask = mask << k | row_bits[s]
-    return _class_of(k, int(_canonical(k)[mask]))
+    return _class_of(k, int(_canonical(k)[mask]))[0]
 
 
 @lru_cache(maxsize=None)
-def _class_of(k: int, least: int) -> GrowthClass:
-    """The growth class of the graphs on k letters whose least relabeled bitmask is least."""
-    return _classify_graph(graph_from_bitmask(k, least))
+def _class_of(k: int, least: int) -> tuple[GrowthClass, bool]:
+    """The growth class of the graphs on k letters whose least relabeled bitmask
+    is least, and whether they are strongly connected."""
+    graph = graph_from_bitmask(k, least)
+    return _classify_graph(graph), _strongly_connected(graph)
 
 
 @lru_cache(maxsize=None)
@@ -799,9 +797,12 @@ def conjecture_scan(k_max: int) -> ScanReport:
     The report lists each graph with its growth class, in canonical
     (k, bitmask) order, so that mixed polynomial-exponential findings can
     be inspected separately for strongly and only-weakly connected graphs.
-    Growth and strong connectivity (one component; weak connectivity is
-    already proved) do not change under relabeling, so they are found on
-    the canonical graph of each isomorphism class, which each row indexes.
+    Growth and strong connectivity (weak connectivity is already proved)
+    do not change under relabeling, so both are read once per isomorphism
+    class, which each row indexes, from the class memo (`_class_of`) of
+    `classify_growth`.  It finds strong connectivity on the canonical
+    graph by the reachability test `validate` uses, so a second scan
+    builds no graph.
     """
     if not 1 <= k_max <= 4:
         raise ValueError("k_max must be between 1 and 4")
@@ -811,11 +812,8 @@ def conjecture_scan(k_max: int) -> ScanReport:
         masks.append(_connected_masks(k))
         keys, inverse = np.unique(_canonical(k)[masks[-1]], return_inverse=True)
         index.append(inverse + len(classes))
-        lists, full = _SCAN_LISTS[k], (1 << k) - 1
         for key in keys.tolist():
-            growth = _class_of(k, key)  # memoizes the class graph's components
-            succ = tuple(lists[key >> i * k & full] for i in range(k))
-            strongly = len(_components(succ)) == 1  # so is a lone vertex
+            growth, strongly = _class_of(k, key)
             classes.append(ScanRow(key, k, strongly, growth.kind, growth.rho, growth.poly_degree))
     masks, index = np.concatenate(masks), np.concatenate(index)
     masks.flags.writeable = index.flags.writeable = False  # a report is a value

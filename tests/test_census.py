@@ -663,8 +663,8 @@ class TestDecode:
         system = CombinedSystem((golden_graph(), complete_graph()), Schedule.from_stints([4, 4, 5]))
         fast = list(iter_combined_word_sets(system, 13))
         g = system.schedule.g
-        stints = [(system.graphs[(m - 1) % 2]._succ, g[m]) for m in range(1, len(g))]
-        slow = _as_objects(_word_sets(system.alphabet, stints, 13, 10 ** 6))
+        stints = [(system.graphs[(m - 1) % 2], g[m]) for m in range(1, len(g))]
+        slow = _as_objects(_word_sets(stints, 13, 10 ** 6))
         assert fast[-1]._codes.dtype == np.int64 and slow[-1]._codes.dtype == object
         for ws, big in zip(fast, slow):
             assert ws.codes() == big.codes()

@@ -425,10 +425,10 @@ class TestCombinedEnumeration:
         fast = list(iter_combined_word_sets(system, n_max))
         assert fast[-1]._codes.dtype == np.int64
         g = system.schedule.g
-        stints = [(system.graphs[(m - 1) % len(system.graphs)]._succ, g[m]) for m in range(1, len(g))]
+        stints = [(system.graphs[(m - 1) % len(system.graphs)], g[m]) for m in range(1, len(g))]
         slow = [
             WordSet(ws.alphabet, ws.length, ws._codes.astype(object))
-            for ws in _word_sets(system.alphabet, stints, n_max, 10 ** 6)
+            for ws in _word_sets(stints, n_max, 10 ** 6)
         ]
         assert slow[-1]._codes.dtype == object
         assert len(fast) == len(slow) == n_max

@@ -151,8 +151,9 @@ def k4_scan():
         return memo.__wrapped__(succ)
 
     def recorded(k, least):
-        growth = classes[k, least] = class_of.__wrapped__(k, least)
-        return growth
+        value = class_of.__wrapped__(k, least)
+        classes[k, least] = value[0]
+        return value
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_berkowitz", functools.lru_cache(memo.cache_info().maxsize)(counted))
@@ -1010,8 +1011,8 @@ class TestScan:
             )
 
     def test_scan_builds_each_class_graph_once(self, monkeypatch):
-        # from empty memos: strong connectivity is read from the components
-        # the classification memoized, not from a second build of the graph
+        # from empty memos: strong connectivity is read from the graph the
+        # class memo builds to classify, not from a second build of it
         builds = Counter()
         build = spectral._graph_from_rows
 
@@ -1023,6 +1024,14 @@ class TestScan:
         conjecture_scan(4)
         classes = {k: len(set(canonical_masks(k, list(iter_connected_bitmasks(k))))) for k in range(1, 5)}
         assert builds == classes and sum(builds.values()) == 2_912
+
+    def test_warm_scan_splits_no_graph_into_components(self):
+        # the class memo keeps strong connectivity with the growth class,
+        # so a second scan runs no component search
+        conjecture_scan(4)
+        misses = graphs._components.cache_info().misses
+        conjecture_scan(4)
+        assert graphs._components.cache_info().misses == misses
 
     def test_k4_report_keeps_no_per_row_objects(self):
         # with the class memo warm, the report is the classes and two columns
