@@ -19,22 +19,20 @@ import math
 
 from symgraph import (
     asymptotic_envelopes,
-    combined_count,
-    combined_enumerate,
-    complete_linear_bounds,
+    enumerate_words,
     find_inadmissible_subword,
-    golden_linear_bounds,
     golden_linear_system,
     complete_linear_system,
+    preset_bounds,
     quartic_schedule,
+    total_count,
 )
 
 
-def bounds_table(name, bound_fn, t_max):
+def bounds_table(name, preset, t_max):
     print(f"\n{name}: exact bounds lower < count < upper at n = (t+1)^4")
     print(f"  {'t':>2} {'n':>6} {'log lower':>10} {'log count':>10} {'log upper':>10}  holds")
-    for t in range(1, t_max + 1):
-        b = bound_fn(t)
+    for b in preset_bounds(preset, t_max):
         print(f"  {b.t:>2} {b.n:>6} {math.log(b.lower):>10.3f} "
               f"{math.log(b.actual):>10.3f} {math.log(b.upper):>10.3f}  {b.holds}")
 
@@ -44,13 +42,13 @@ def main():
     print(f"quartic schedule stints: {sched.stints}")
     print(f"milestones g: {sched.g}")
 
-    bounds_table("golden + linear", golden_linear_bounds, 6)
-    bounds_table("complete + linear", complete_linear_bounds, 8)
+    bounds_table("golden + linear", "golden-linear", 6)
+    bounds_table("complete + linear", "complete-linear", 8)
 
     print("\nstretched exponent: log3(count) / sqrt(n) for the complete+linear system")
     for t in (1, 2, 4, 8, 12):
         n = (t + 1) ** 4
-        count = combined_count(complete_linear_system(t), n)
+        count = total_count(complete_linear_system(t), n)
         ratio = math.log(count, 3) / math.sqrt(n)
         log_f1, log_f2 = asymptotic_envelopes("complete-linear", n)
         print(f"  t={t:>2} n={n:>6}: ratio={ratio:.4f}"
@@ -60,7 +58,7 @@ def main():
 
     print("\nsubword non-admissibility (the mark of a combination):")
     system = golden_linear_system(1)
-    words5 = combined_enumerate(system, 5)
+    words5 = enumerate_words(system, 5)
     print(f"  the system generates {len(words5)} words of length 5")
     witness = find_inadmissible_subword(system, 5)
     print(f"  {witness.describe(system.alphabet)}")

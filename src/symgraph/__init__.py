@@ -70,11 +70,8 @@ from .combine import (
     ScheduleExhaustedError,
     SubwordWitness,
     active_index,
-    combined_count,
     combined_count_series,
-    combined_enumerate,
     find_inadmissible_subword,
-    iter_combined_word_sets,
     parse_schedule,
 )
 from .presets import (
@@ -82,11 +79,9 @@ from .presets import (
     GOLDEN_LINEAR,
     asymptotic_envelopes,
     complete_graph,
-    complete_linear_bounds,
     complete_linear_system,
     fibonacci,
     golden_graph,
-    golden_linear_bounds,
     golden_linear_system,
     linear_graph,
     match_preset,

@@ -2,18 +2,23 @@
 
 The number of admissible length-n words from symbol i to symbol j is
 entry (i, j) of M**(n-1), in unbounded integer arithmetic.  A stint is
-(graph, last length it extends to), and a single graph is the one stint
-((graph, n),).  A count at chosen lengths is one walk (`_walk`) along
-the stints: the words ending in each letter sum over its predecessor
-list, one plain-loop 0/1 matrix-vector product (`_step`) per step
-between successive lengths, one binary power of the graph's matrix from
-memoized squares (`intmat.vec_pow`) per longer gap.  `count_series`
-steps the column sums (predecessor lists) and the row sums (successor
-lists) together, one `_step` each per length.  `count_matrix` forms each
-row e_i^T M**(n-1) from the same squares.  Enumeration realizes the same
-census independently, by iterating the 1-letter extension map on the
-set of all words, starting from the alphabet itself.  The routes are
-checked against each other in the test suite.
+(graph, last length it extends to).  A count at chosen lengths is one
+walk (`_walk`) along the stints: the words ending in each letter sum
+over its predecessor list, one plain-loop 0/1 matrix-vector product
+(`_step`) per step between successive lengths, one binary power of the
+graph's matrix from memoized squares (`intmat.vec_pow`) per longer gap.
+`count_series` steps the column sums (predecessor lists) and the row
+sums (successor lists) together, one `_step` each per length.
+`count_matrix` forms each row e_i^T M**(n-1) from the same squares.
+Enumeration realizes the same census independently, by iterating the
+1-letter extension map on the set of all words, starting from the
+alphabet itself.  The routes are checked against each other in the test
+suite.
+
+A source is a graph or a `combine.CombinedSystem`, and it names its own
+stints (`_stints`): a graph is one stint, a system one per schedule gap.
+The walk and the extension read only the stints, so `total_count`,
+`iter_word_sets` and `enumerate_words` each serve both sources.
 
 Enumerated words of length n over k symbols are carried as base-k integer
 codes (most significant digit = first letter), one ascending numpy array
@@ -23,8 +28,7 @@ ascending order, so an ascending level extends to an ascending level
 without a sort, and the letters u are carried as the next level's last
 letters.  An extension is one chain of array-method calls sized by the
 cumulative fan-out.  Level n is int64 while k**n <= 2**63, else Python
-integers in an object array, extended alike.  Extension reads the same
-stints as the walk, so a single graph and a combined system share it.
+integers in an object array, extended alike.
 
 Reads cost array time: a tuple of in-range ints folds in one pass, then
 one binary search; words decode 2**14 codes at a time by digit extraction.
@@ -36,12 +40,15 @@ import os
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from .graphs import DirectedGraph, Alphabet, GraphSpecError
 from .intmat import IntMatrix, vec_pow
+
+if TYPE_CHECKING:
+    from .combine import CombinedSystem
 
 DEFAULT_ENUM_CAP = 10_000_000
 ENUM_CAP_ENV = "SYMGRAPH_ENUM_CAP"
@@ -178,11 +185,11 @@ def count_matrix(graph: DirectedGraph, n: int) -> CountMatrix:
     return CountMatrix(graph.alphabet, n, rows)
 
 
-def total_count(graph: DirectedGraph, n: int) -> int:
-    """Exact number of admissible length-n words: 1^T M**(n-1) 1."""
+def total_count(source: DirectedGraph | CombinedSystem, n: int) -> int:
+    """Exact number of admissible length-n words: 1^T A_2 ... A_n 1, by one walk."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    (vec,) = _walk(((graph, n),), (n,))
+    (vec,) = _walk(source._stints(n), (n,))
     return sum(vec)
 
 
@@ -359,14 +366,14 @@ def _word_sets(stints: Sequence[Stint], n_max: int, cap: int) -> Iterator[WordSe
 
 
 def iter_word_sets(
-    graph: DirectedGraph, n_max: int, cap: int | None = None
+    source: DirectedGraph | CombinedSystem, n_max: int, cap: int | None = None
 ) -> Iterator[WordSet]:
     """Word sets for n = 1..n_max, each level extended from the previous."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    yield from _word_sets(((graph, n_max),), n_max, enumeration_cap(cap))
+    yield from _word_sets(source._stints(n_max), n_max, enumeration_cap(cap))
 
 
-def enumerate_words(graph: DirectedGraph, n: int, cap: int | None = None) -> WordSet:
+def enumerate_words(source: DirectedGraph | CombinedSystem, n: int, cap: int | None = None) -> WordSet:
     """The set of admissible length-n words, by iterated 1-letter extension."""
-    return deque(iter_word_sets(graph, n, cap), maxlen=1).pop()
+    return deque(iter_word_sets(source, n, cap), maxlen=1).pop()

@@ -337,9 +337,7 @@ def cmd_entropy_fit(args: argparse.Namespace) -> ExperimentOutput:
     elif len(graphs) > 1:
         raise GraphSpecError("entropy-fit over several graphs needs --schedule")
     else:
-        # the constant schedule; combined_count_series rejects n_max < 1
-        system = CombinedSystem(graphs, Schedule((0, max(args.n_max, 1))))
-        series = entropy_series(combined_count_series(system, args.n_max))
+        series = entropy_series(combined_count_series(graphs[0], args.n_max))
     out = ExperimentOutput(_manifest(args))
     out.tables.append(_entropy_table("entropy_series", series))
     try:
@@ -440,6 +438,10 @@ def main(argv: list[str] | None = None) -> int:
         output = args.func(args)
     except (GraphSpecError, EnumerationCapError, ScheduleExhaustedError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:  # exact counts have no size budget, so a huge n can exhaust memory
+        print(f"error: out of memory in {args.command}; try a smaller --n-max or --t-max",
+              file=sys.stderr)
         return EXIT_ERROR
     try:
         paths = output.write(args.out, args.format)

@@ -10,14 +10,15 @@ later stint contributes its full length, which is what makes the growth
 bounds for the bundled example systems exact.  A single graph is the
 system of one graph, the constant (autonomous) schedule.
 
-Counts and word sets read the schedule as the stints of `_stints`, each
-(graph, last length it extends to), the one stint form of `census`; a
-single graph is the one stint ((graph, n),).  Every count is one walk
-along them (`census._walk`), to one length (`combined_count`), to every
+Counts and word sets read a source as its stints, each (graph, last
+length it extends to): `CombinedSystem._stints` walks the schedule, and
+`DirectedGraph._stints` is the one stint of a single graph.  So
+`census.total_count`, `census.iter_word_sets` and `census.enumerate_words`
+take either source, and so does `combined_count_series`.  Every count is
+one walk along the stints (`census._walk`), to one length, to every
 length (`combined_count_series`) or to the ascending milestones
 (`presets.milestone_counts`); the walk keeps nothing, and a system is
-never written to.  `iter_combined_word_sets` hands the same stints to
-the word-set extension (`census._word_sets`).
+never written to.
 
 Unlike the words of one graph, a subword of an admissible combined word
 need not be admissible; `find_inadmissible_subword` finds the first such
@@ -31,11 +32,10 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .census import Stint, WordSet, _walk, _word_sets, enumeration_cap, format_word
+from .census import Stint, _walk, format_word
 from .graphs import Alphabet, DirectedGraph, GraphSpecError
 
 
@@ -130,6 +130,13 @@ class CombinedSystem:
     def k(self) -> int:
         return self.graphs[0].k
 
+    def _stints(self, n_max: int) -> list[Stint]:
+        """(graph, last length it extends to) for each stint through the one
+        reaching n_max; ScheduleExhaustedError when n_max is beyond the horizon."""
+        sched, graphs = self.schedule, self.graphs
+        top = sched.stint_index(n_max)
+        return [(graphs[(m - 1) % len(graphs)], sched.g[m]) for m in range(1, top + 1)]
+
 
 def active_index(system: CombinedSystem, j: int) -> int:
     """0-based index of the graph performing the extension to length j (j >= 2)."""
@@ -139,43 +146,16 @@ def active_index(system: CombinedSystem, j: int) -> int:
     return (m - 1) % len(system.graphs)
 
 
-def _stints(system: CombinedSystem, n_max: int) -> list[Stint]:
-    """(graph, last length it extends to) for each stint through the one
-    reaching n_max; ScheduleExhaustedError when n_max is beyond the horizon."""
-    sched, graphs = system.schedule, system.graphs
-    top = sched.stint_index(n_max)
-    return [(graphs[(m - 1) % len(graphs)], sched.g[m]) for m in range(1, top + 1)]
-
-
-def _counts(system: CombinedSystem, lengths: Sequence[int]) -> list[tuple[int, int]]:
+def _counts(source: DirectedGraph | CombinedSystem, lengths: Sequence[int]) -> list[tuple[int, int]]:
     """(n, count) at each n of the non-empty ascending lengths, by one walk (`census._walk`)."""
-    return [(n, sum(vec)) for n, vec in zip(lengths, _walk(_stints(system, lengths[-1]), lengths))]
+    return [(n, sum(vec)) for n, vec in zip(lengths, _walk(source._stints(lengths[-1]), lengths))]
 
 
-def combined_count(system: CombinedSystem, n: int) -> int:
-    """Exact count of combined words of length n (sum over endpoints), by one walk."""
-    if n < 1:
-        raise ValueError("word length must be >= 1")
-    return _counts(system, (n,))[0][1]
-
-
-def combined_count_series(system: CombinedSystem, n_max: int) -> list[tuple[int, int]]:
-    """(n, count) for n = 1..n_max by one vector walk along the schedule."""
+def combined_count_series(source: DirectedGraph | CombinedSystem, n_max: int) -> list[tuple[int, int]]:
+    """(n, count) for n = 1..n_max by one vector walk along the source's stints."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return _counts(system, range(1, n_max + 1))
-
-
-def iter_combined_word_sets(system: CombinedSystem, n_max: int, cap: int | None = None):
-    """Combined word sets for n = 1..n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    yield from _word_sets(_stints(system, n_max), n_max, enumeration_cap(cap))
-
-
-def combined_enumerate(system: CombinedSystem, n: int, cap: int | None = None) -> WordSet:
-    """The set of combined words of length n."""
-    return deque(iter_combined_word_sets(system, n, cap), maxlen=1).pop()
+    return _counts(source, range(1, n_max + 1))
 
 
 @dataclass(frozen=True)

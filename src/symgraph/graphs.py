@@ -112,6 +112,10 @@ class DirectedGraph:
         """All edges as index pairs, row-major order."""
         return [(i, j) for i, s in enumerate(self._succ) for j in s]
 
+    def _stints(self, n_max: int) -> tuple[tuple[DirectedGraph, int]]:
+        """The one stint (graph, last length): the graph performs every extension."""
+        return ((self, n_max),)
+
 
 def _graph_from_rows(alphabet: Alphabet, rows: tuple, lists: tuple, bits: list) -> DirectedGraph:
     """The graph with rows rows[b], b in bits, whose 1 positions lists[b] are trusted unchecked."""

@@ -118,7 +118,7 @@ def _golden_linear_sandwiches(t_max: int) -> list[tuple[int, int]]:
     """
     odd = [quartic_stint(2 * t - 1) for t in range(1, t_max + 1)]
     lengths, golden = list(accumulate(odd)), golden_graph()
-    counts = map(sum, _walk(((golden, lengths[-1]),), lengths))
+    counts = map(sum, _walk(golden._stints(lengths[-1]), lengths))
     steps = accumulate(quartic_stint(2 * t) for t in range(1, t_max + 1))
     lowers = accumulate(map(fibonacci, odd), mul)
     return [(lower, count * (1 + 2 * s)) for lower, count, s in zip(lowers, counts, steps)]
@@ -149,20 +149,6 @@ def preset_bounds(name: str, t_max: int) -> list[BoundReport]:
     pairs = zip(milestone_counts(make_system(t_max), t_max), sandwiches(t_max))
     return [BoundReport(t, n, lower, count, upper)
             for t, ((n, count), (lower, upper)) in enumerate(pairs, start=1)]
-
-
-def golden_linear_bounds(t: int) -> BoundReport:
-    """Exact bound sandwich for the golden-linear system after t stint pairs."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    return preset_bounds(GOLDEN_LINEAR, t)[-1]
-
-
-def complete_linear_bounds(t: int) -> BoundReport:
-    """Exact bound sandwich for the complete-linear system after t stint pairs."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    return preset_bounds(COMPLETE_LINEAR, t)[-1]
 
 
 def _fourth_root(n: int) -> int:

@@ -504,7 +504,7 @@ def _w_series(p: list[int] | tuple[int, ...], root: complex, terms: int) -> list
 def _numerator(graph: DirectedGraph, poly: CharPoly) -> list[int]:
     """N = D*G mod x^(k+1), low-first, from the exact counts t(1..k)."""
     d, k = poly.coefficients, graph.k
-    t = [0] + [sum(vec) for vec in _walk(((graph, k),), range(1, k + 1))]
+    t = [0] + [sum(vec) for vec in _walk(graph._stints(k), range(1, k + 1))]
     return [sum(d[i] * t[n - i] for i in range(n + 1)) for n in range(len(d))]
 
 
@@ -734,10 +734,6 @@ class ScanReport:
                  for c in self.classes]
         rows = [[m, *tails[i]] for m, i in zip(map(str, self.masks.tolist()), self.index.tolist())]
         return ["bitmask", "k", "strongly_connected", "kind", "rho", "poly_degree"], rows
-
-    def to_csv(self) -> str:
-        columns, rows = self.table()
-        return "\n".join(map(",".join, [columns, *rows])) + "\n"
 
 
 _SCAN_SYMBOLS = ("A", "B", "C", "D")

@@ -11,9 +11,7 @@ import time
 from symgraph import (
     char_poly,
     closed_form,
-    combined_count,
     complete_graph,
-    complete_linear_bounds,
     complete_linear_system,
     conjecture_scan,
     count_series,
@@ -21,18 +19,20 @@ from symgraph import (
     fit_scaling,
     find_inadmissible_subword,
     golden_graph,
-    golden_linear_bounds,
     golden_linear_system,
     graph_from_bitmask,
     iter_connected_bitmasks,
     iter_word_sets,
     linear_graph,
+    preset_bounds,
     topological_entropy_estimate,
+    total_count,
     two_cycle_graph,
     verify_recurrence,
     CombinedSystem,
     quartic_schedule,
 )
+from symgraph.cli import Table
 
 from conftest import clear_memos
 
@@ -122,8 +122,8 @@ def test_criterion_04_oracle_equivalence_k_le_4():
 
 def test_criterion_05_golden_linear_bounds():
     start = time.perf_counter()
-    assert combined_count(golden_linear_system(1), 16) == 91
-    reports = [golden_linear_bounds(t) for t in range(1, 7)]
+    assert total_count(golden_linear_system(1), 16) == 91
+    reports = [preset_bounds("golden-linear", t)[-1] for t in range(1, 7)]
     elapsed = time.perf_counter() - start
     ok = all(r.holds for r in reports) and reports[-1].n == 2401 and elapsed < 1
     report(5, ok, f"count(16)=91; strict bounds hold for t<=6 (n up to 2401) in {elapsed:.2f}s")
@@ -134,9 +134,9 @@ def test_criterion_05_golden_linear_bounds():
 
 def test_criterion_06_complete_linear_bounds():
     start = time.perf_counter()
-    first = complete_linear_bounds(1)
+    first = preset_bounds("complete-linear", 1)[-1]
     assert (first.lower, first.actual, first.upper) == (81, 729, 2025)
-    reports = [complete_linear_bounds(t) for t in range(1, 9)]
+    reports = [preset_bounds("complete-linear", t)[-1] for t in range(1, 9)]
     elapsed = time.perf_counter() - start
     ok = all(r.holds for r in reports) and elapsed < 1
     report(6, ok, f"count(16)=729 in (81, 2025); strict bounds hold for t<=8 in {elapsed:.2f}s")
@@ -147,7 +147,7 @@ def test_criterion_06_complete_linear_bounds():
 def _quartic_walk_totals(t_max: int) -> list[int]:
     """Complete-linear counts at the milestones (t+1)**4, t = 1..t_max.
 
-    Independent of combined_count: one vector step per letter, no matrix
+    Independent of total_count: one vector step per letter, no matrix
     powers and no stint grouping.  The stints are the module formula of
     symgraph.presets: s_1 = 4, s_{2i-1} = 2i + 1,
     s_{2i} = (i+1)**4 - i**4 + i**2 - (i+1)**2; stint m is driven by the
@@ -182,7 +182,7 @@ def _quartic_walk_totals(t_max: int) -> list[int]:
 def test_criterion_07_stretched_exponential():
     start = time.perf_counter()
     system = complete_linear_system(12)
-    samples = [((t + 1) ** 4, combined_count(system, (t + 1) ** 4)) for t in range(1, 13)]
+    samples = [((t + 1) ** 4, total_count(system, (t + 1) ** 4)) for t in range(1, 13)]
     ratios = [math.log(c, 3) / math.sqrt(n) for n, c in samples]
     decreasing = all(ratios[t] > ratios[t + 1] for t in range(3, 11))
     fit = fit_scaling(entropy_series(samples))
@@ -197,7 +197,7 @@ def test_criterion_07_stretched_exponential():
     # walk at every milestone t = 1..20.
     wide = complete_linear_system(20)
     walked = _quartic_walk_totals(20)
-    counts = [combined_count(wide, (t + 1) ** 4) for t in range(1, 21)]
+    counts = [total_count(wide, (t + 1) ** 4) for t in range(1, 21)]
     oracle_ok = walked == counts
     ratio = {t: math.log(c, 3) / (t + 1) ** 2 for t, c in enumerate(counts, start=1)}
     pinned = round(ratios[-1], 4) == 1.4085
@@ -218,7 +218,7 @@ def test_criterion_07_stretched_exponential():
     assert decreasing
     assert fit.model == "power" and 0.45 <= fit.mu <= 0.55
     assert elapsed < 5
-    assert oracle_ok, "combined_count disagrees with the vector walk"
+    assert oracle_ok, "total_count disagrees with the vector walk"
     assert pinned, f"log3(count)/sqrt(n) at t=12 is {ratios[-1]:.4f}, documented 1.4085"
     assert interval_ok, f"[1.0, 1.35] holds at t in {inside}, expected 17..20"
 
@@ -227,8 +227,7 @@ def test_criterion_08_subword_witness():
     system = golden_linear_system(1)
     witness = find_inadmissible_subword(system, 5)
     assert witness is not None
-    from symgraph import iter_combined_word_sets
-    levels = list(iter_combined_word_sets(system, 5))
+    levels = list(iter_word_sets(system, 5))
     word_ok = tuple(witness.word) in set(levels[len(witness.word) - 1])
     sub_bad = tuple(witness.subword) not in set(levels[len(witness.subword) - 1])
     degenerate = CombinedSystem((golden_graph(), golden_graph()), quartic_schedule(1))
@@ -255,7 +254,8 @@ def test_criterion_10_scan_deterministic():
     r1 = conjecture_scan(3)
     clear_memos()  # so the second run recomputes everything
     r2 = conjecture_scan(3)
-    identical = r1.to_csv().encode() == r2.to_csv().encode()
+    csv1, csv2 = (Table("scan_table", *r.table()).to_csv() for r in (r1, r2))
+    identical = csv1 == csv2
     no_strong_mixed = r1.mixed_strongly_connected == ()
     ok = identical and no_strong_mixed
     report(10, ok, f"{len(r1.rows)} graphs; zero mixed among strongly connected; byte-identical")

@@ -21,12 +21,10 @@ from symgraph import (
     golden_graph,
     graph_from_bitmask,
     is_admissible,
-    iter_combined_word_sets,
     iter_connected_bitmasks,
     iter_word_sets,
     linear_graph,
     Schedule,
-    combined_count,
     combined_count_series,
     total_count,
     two_cycle_graph,
@@ -233,7 +231,7 @@ class TestVecPow:
         system = CombinedSystem((g,), Schedule((0, 1100)))
         for n in (10, 60, 1100):
             total = total_count(g, n)
-            assert type(total) is int and total == combined_count(system, n) == 2 ** n
+            assert type(total) is int and total == total_count(system, n) == 2 ** n
         cm = count_matrix(g, 10)
         assert cm.entries == ((256, 256), (256, 256))
         assert all(type(x) is int for row in cm.entries for x in row)
@@ -558,11 +556,11 @@ class TestLevelSizes:
     def test_combined_sizes_across_stint_boundaries(self, graphs, stints):
         system = CombinedSystem(graphs, Schedule.from_stints(stints))
         n_max = sum(stints) - 1
-        sizes = [len(ws) for ws in iter_combined_word_sets(system, n_max)]
+        sizes = [len(ws) for ws in iter_word_sets(system, n_max)]
         assert sizes == [count for _, count in combined_count_series(system, n_max)]
         cap = max(sizes) - 1
         with pytest.raises(EnumerationCapError) as err:
-            list(iter_combined_word_sets(system, n_max, cap=cap))
+            list(iter_word_sets(system, n_max, cap=cap))
         first = next(n for n, size in enumerate(sizes, 1) if size > cap)
         assert (err.value.length, err.value.count, err.value.cap) == (first, sizes[first - 1], cap)
 
@@ -661,7 +659,7 @@ class TestDecode:
     def test_combined_levels_across_a_stint_boundary(self):
         # golden for lengths 2..4, complete3 for 5..8, golden again for 9..13
         system = CombinedSystem((golden_graph(), complete_graph()), Schedule.from_stints([4, 4, 5]))
-        fast = list(iter_combined_word_sets(system, 13))
+        fast = list(iter_word_sets(system, 13))
         g = system.schedule.g
         stints = [(system.graphs[(m - 1) % 2], g[m]) for m in range(1, len(g))]
         slow = _as_objects(_word_sets(stints, 13, 10 ** 6))

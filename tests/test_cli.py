@@ -380,7 +380,7 @@ class TestScan:
         assert main(["scan", "--k-max", "5", "--out", str(tmp_path / "o")]) == 1
 
     def test_k3_bytes_in_both_formats(self, tmp_path):
-        # the CLI's own files; the csv table has the digest of ScanReport.to_csv
+        # the CLI's own files; the csv table has the digest pinned in test_spectral
         pinned = {
             "csv": {
                 "scan_table": "4692c0d0515d8d0c88dfbae86335c92aeb8e1ef8339d04a03241c24543ba8505",
@@ -468,6 +468,20 @@ class TestEntropyFit:
         assert [(int(r[0]), int(r[1])) for r in rows] == [
             (n, total_count(golden_graph(), n)) for n in (16, 81, 256)
         ]
+
+    def test_out_of_memory_is_one_line(self, tmp_path, graph_files, monkeypatch, capsys):
+        # complete3's series to n = 200000 holds about 4 GB of exact counts
+        def exhausted(source, n_max):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "combined_count_series", exhausted)
+        out = tmp_path / "o"
+        argv = ["entropy-fit", "--graph", graph_files["complete3"], "--n-max", "200000", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: out of memory in entropy-fit; try a smaller --n-max or --t-max\n"
+        )
+        assert not out.exists()
 
     def test_several_graphs_need_schedule(self, tmp_path, graph_files, capsys):
         assert main([

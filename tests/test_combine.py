@@ -13,21 +13,17 @@ from symgraph import (
     ScheduleExhaustedError,
     active_index,
     asymptotic_envelopes,
-    combined_count,
     combined_count_series,
-    combined_enumerate,
     complete_graph,
-    complete_linear_bounds,
     complete_linear_system,
     count_series,
+    enumerate_words,
     fibonacci,
     find_inadmissible_subword,
     format_word,
     golden_graph,
-    golden_linear_bounds,
     golden_linear_system,
     graph_from_edges,
-    iter_combined_word_sets,
     iter_word_sets,
     linear_graph,
     match_preset,
@@ -126,7 +122,7 @@ def oracle_product_total(matrices):
 def reference_witness(system, n_max):
     """Scalar reference scan: words in lexicographic order, subword length
     ascending, start ascending, one membership test per subword."""
-    levels = list(iter_combined_word_sets(system, n_max))
+    levels = list(iter_word_sets(system, n_max))
     k = system.k
     for ws in levels:
         length = ws.length
@@ -253,47 +249,60 @@ class TestOneGraphSystem:
         assert combined_count_series(system, horizon) == count_series(graph, horizon).totals()
         # any order: every call walks from length 1
         for n in data.draw(st.lists(st.integers(1, horizon), max_size=4)):
-            assert combined_count(system, n) == total_count(graph, n)
-        combined = [ws.codes() for ws in iter_combined_word_sets(system, n_max)]
+            assert total_count(system, n) == total_count(graph, n)
+        combined = [ws.codes() for ws in iter_word_sets(system, n_max)]
         assert combined == [ws.codes() for ws in iter_word_sets(graph, n_max)]
         assert find_inadmissible_subword(system, n_max) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=one_graph_systems().map(lambda s: s.graphs[0]), n=st.integers(1, 9))
+    def test_graph_and_its_one_stint_system_agree(self, graph, n):
+        # every entry point takes either source: the graph, or its system to horizon n
+        system = CombinedSystem((graph,), Schedule((0, n)))
+        assert combined_count_series(graph, n) == count_series(graph, n).totals()
+        assert combined_count_series(system, n) == combined_count_series(graph, n)
+        for m in range(1, n + 1):
+            assert total_count(graph, m) == total_count(system, m)
+        levels = [ws.codes() for ws in iter_word_sets(graph, n)]
+        assert levels == [ws.codes() for ws in iter_word_sets(system, n)]
+        assert enumerate_words(graph, n).codes() == enumerate_words(system, n).codes() == levels[-1]
 
 
 class TestCombinedCounts:
     def test_golden_linear_16(self):
-        assert combined_count(golden_linear_system(1), 16) == 91
+        assert total_count(golden_linear_system(1), 16) == 91
 
     def test_first_stint_matches_single_graph(self):
         system = golden_linear_system(1)
         for n in (1, 2, 3, 4):
-            assert combined_count(system, n) == total_count(golden_graph(), n)
+            assert total_count(system, n) == total_count(golden_graph(), n)
 
     def test_complete_linear_16(self):
-        assert combined_count(complete_linear_system(1), 16) == 729
+        assert total_count(complete_linear_system(1), 16) == 729
 
     def test_n1_is_alphabet_size(self):
-        assert combined_count(golden_linear_system(1), 1) == 3
+        assert total_count(golden_linear_system(1), 1) == 3
 
     def test_series_matches_single_calls(self):
         system = golden_linear_system(2)
         series = combined_count_series(system, 40)
         assert series[0] == (1, 3)
         for n, count in series:
-            assert combined_count(system, n) == count
+            assert total_count(system, n) == count
 
     @settings(max_examples=80, deadline=None)
     @given(system=random_systems(), data=st.data())
     def test_series_matches_single_calls_random(self, system, data):
         n_max = system.schedule.horizon
         series = combined_count_series(system, n_max)
-        assert series == [(j, combined_count(system, j)) for j in range(1, n_max + 1)]
+        assert series == [(j, total_count(system, j)) for j in range(1, n_max + 1)]
         # calls in any order, each from length 1, give the same counts
         lengths = list(range(1, n_max + 1))
         shuffled = data.draw(st.permutations(lengths))
         repeated = data.draw(st.lists(st.sampled_from(lengths), max_size=12))
         expected = dict(series)
         for j in shuffled + lengths[::-1] + [j for j in repeated for _ in range(2)]:
-            assert combined_count(system, j) == expected[j]
+            assert total_count(system, j) == expected[j]
 
     @settings(max_examples=100, deadline=None)
     @given(case=walk_cases())
@@ -328,7 +337,7 @@ class TestCombinedCounts:
         lengths = data.draw(st.permutations(
             sorted(set(system.schedule.g[1:]) | {2, 100, 399, 400, 401, 624, 625})))
         for j in lengths:
-            assert combined_count(system, j) == expected[j]
+            assert total_count(system, j) == expected[j]
 
     @settings(max_examples=80, deadline=None)
     @given(system=random_systems(), data=st.data())
@@ -339,7 +348,7 @@ class TestCombinedCounts:
         identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
         for n in data.draw(st.permutations(lengths)):
             matrices = [system.graphs[active_index(system, j)].adjacency for j in range(2, n + 1)]
-            assert combined_count(system, n) == series[n] == oracle_product_total([identity] + matrices)
+            assert total_count(system, n) == series[n] == oracle_product_total([identity] + matrices)
         # one walk through all of them, gaps and runs alike
         assert _counts(system, sorted(lengths)) == [(n, series[n]) for n in sorted(lengths)]
 
@@ -349,7 +358,7 @@ class TestCombinedCounts:
         series = combined_count_series(system, 2000)
         assert series == reference_walk_totals(system, 2000)
         for n in (1, 2, 3, 4, 999, 1000, 1001, 1999, 2000):
-            assert combined_count(system, n) == series[n - 1][1]
+            assert total_count(system, n) == series[n - 1][1]
 
     def test_ordered_product_identity(self):
         # oracle: naive sequential product of per-stint power lists
@@ -362,24 +371,24 @@ class TestCombinedCounts:
                     reps = s - 1 if stint == 1 else s
                     matrices += [system.graphs[(stint - 1) % 2].adjacency] * reps
                 assert len(matrices) == n - 1
-                assert combined_count(system, n) == oracle_product_total(matrices)
+                assert total_count(system, n) == oracle_product_total(matrices)
 
     def test_schedule_exhausted(self):
         with pytest.raises(ScheduleExhaustedError):
-            combined_count(golden_linear_system(1), 17)
+            total_count(golden_linear_system(1), 17)
         with pytest.raises(ScheduleExhaustedError):
             combined_count_series(golden_linear_system(1), 17)
 
     def test_degenerate_equal_graphs(self):
         system = CombinedSystem((golden_graph(), golden_graph()), quartic_schedule(2))
         for n in (1, 5, 16, 40, 81):
-            assert combined_count(system, n) == total_count(golden_graph(), n)
+            assert total_count(system, n) == total_count(golden_graph(), n)
 
 
 class TestCombinedEnumeration:
     def test_sizes_match_counts_to_14(self):
         for system in (golden_linear_system(1), complete_linear_system(1)):
-            sizes = [len(ws) for ws in iter_combined_word_sets(system, 14)]
+            sizes = [len(ws) for ws in iter_word_sets(system, 14)]
             counts = [c for _, c in combined_count_series(system, 14)]
             assert sizes == counts
 
@@ -387,17 +396,17 @@ class TestCombinedEnumeration:
         for system in (golden_linear_system(1), complete_linear_system(1)):
             for n in (1, 3, 5, 8, 12):
                 expected = oracle_combined_words(system, n)
-                got = set(combined_enumerate(system, n))
+                got = set(enumerate_words(system, n))
                 assert got == expected
 
     def test_example_word_present(self):
-        ws = combined_enumerate(golden_linear_system(1), 5)
+        ws = enumerate_words(golden_linear_system(1), 5)
         assert len(ws) == 25
         assert "XXXZZ" in ws
 
     def test_step_transitions_follow_active_graph(self):
         system = golden_linear_system(1)
-        for ws in iter_combined_word_sets(system, 14):
+        for ws in iter_word_sets(system, 14):
             if ws.length < 2:
                 continue
             for word in ws:
@@ -410,10 +419,10 @@ class TestCombinedEnumeration:
         system = CombinedSystem(
             (golden_graph(), linear_graph()), Schedule.from_stints([1] * 24)
         )
-        sizes = [len(ws) for ws in iter_combined_word_sets(system, 12)]
+        sizes = [len(ws) for ws in iter_word_sets(system, 12)]
         for n, size in zip(range(1, 13), sizes):
             assert size == len(oracle_combined_words(system, n))
-            assert size == combined_count(system, n)
+            assert size == total_count(system, n)
 
     @settings(max_examples=150, deadline=None)
     @given(system=random_systems(), n_max=st.integers(1, 8))
@@ -422,7 +431,7 @@ class TestCombinedEnumeration:
         # and the same on int64 and, cast as levels past int64 hold them, on Python ints
         n_max = min(n_max, system.schedule.horizon)
         k = system.k
-        fast = list(iter_combined_word_sets(system, n_max))
+        fast = list(iter_word_sets(system, n_max))
         assert fast[-1]._codes.dtype == np.int64
         g = system.schedule.g
         stints = [(system.graphs[(m - 1) % len(system.graphs)], g[m]) for m in range(1, len(g))]
@@ -451,13 +460,13 @@ class TestCombinedEnumeration:
         )
         for n in range(1, 13):
             expected = oracle_combined_words(system, n)
-            assert combined_count(system, n) == len(expected)
-            assert set(combined_enumerate(system, n)) == expected
+            assert total_count(system, n) == len(expected)
+            assert set(enumerate_words(system, n)) == expected
 
 
 class TestBounds:
     def test_golden_linear_t1(self):
-        report = golden_linear_bounds(1)
+        report = preset_bounds("golden-linear", 1)[-1]
         assert (report.lower, report.actual, report.upper) == (3, 91, 475)
         assert report.n == 16
         assert report.holds
@@ -472,18 +481,18 @@ class TestBounds:
             )
             exact = math.prod(fibonacci(s) for s in odd)
             assert abs(float_value - exact) < 1e-6 * exact
-            assert golden_linear_bounds(t).lower == exact
+            assert preset_bounds("golden-linear", t)[-1].lower == exact
 
     def test_golden_linear_upper_formula(self):
-        report = golden_linear_bounds(1)
+        report = preset_bounds("golden-linear", 1)[-1]
         assert report.upper == total_count(golden_graph(), 4) * (1 + 2 * 12) == 19 * 25
 
     def test_golden_linear_holds_to_6(self):
-        reports = [golden_linear_bounds(t) for t in range(1, 7)]
+        reports = [preset_bounds("golden-linear", t)[-1] for t in range(1, 7)]
         for t, report in enumerate(reports, start=1):
             assert report.holds, f"t={t}: {report}"
             assert report.n == (t + 1) ** 4
-        assert golden_linear_bounds(6).n == 2401
+        assert preset_bounds("golden-linear", 6)[-1].n == 2401
         assert preset_bounds("golden-linear", 6) == reports
         series = combined_count_series(golden_linear_system(4), 5 ** 4)
         assert [r.actual for r in reports[:4]] == [series[r.n - 1][1] for r in reports[:4]]
@@ -496,12 +505,12 @@ class TestBounds:
         assert milestone_counts(golden_linear_system(2), 2) == [(16, 91), (81, 3121)]
 
     def test_complete_linear_t1(self):
-        report = complete_linear_bounds(1)
+        report = preset_bounds("complete-linear", 1)[-1]
         assert (report.lower, report.actual, report.upper) == (81, 729, 2025)
         assert report.holds
 
     def test_complete_linear_holds_to_8(self):
-        reports = [complete_linear_bounds(t) for t in range(1, 9)]
+        reports = [preset_bounds("complete-linear", t)[-1] for t in range(1, 9)]
         for t, report in enumerate(reports, start=1):
             assert report.holds
             assert report.lower == 3 ** ((t + 1) ** 2)
@@ -546,7 +555,7 @@ class TestEnvelopes:
     def test_envelopes_sandwich_for_complete_linear(self):
         # the log envelopes straddle the exact log count at every milestone
         for t in range(1, 9):
-            report = complete_linear_bounds(t)
+            report = preset_bounds("complete-linear", t)[-1]
             log_f1, log_f2 = asymptotic_envelopes("complete-linear", report.n)
             actual = math.log(report.actual)
             assert log_f1 < actual < log_f2 + 5.0  # f2 is asymptotic, allow slack
@@ -561,7 +570,7 @@ class TestSubwordWitness:
         assert format_word(system.alphabet, witness.subword) == "ZZ"
         assert witness.start == 3
         # verify the witness by membership in the enumerated sets
-        levels = list(iter_combined_word_sets(system, 5))
+        levels = list(iter_word_sets(system, 5))
         assert tuple(witness.word) in set(levels[4])
         assert tuple(witness.subword) not in set(levels[1])
 
@@ -608,7 +617,7 @@ class TestSubwordWitness:
             ))
 
         system = CombinedSystem((ring(0, 1), ring(2)), Schedule.from_stints([3, 2, 3, 2, 3]))
-        levels = list(iter_combined_word_sets(system, 11))
+        levels = list(iter_word_sets(system, 11))
         assert levels[-1]._codes.dtype == object
         witness = find_inadmissible_subword(system, 11)
         assert witness is not None
@@ -617,7 +626,7 @@ class TestSubwordWitness:
     def test_stretched_growth_ratio_window(self):
         # count at n behaves like 3**sqrt(n): ratio pinned by the bound product
         for t in range(1, 13):
-            report = complete_linear_bounds(t)
+            report = preset_bounds("complete-linear", t)[-1]
             ratio = math.log(report.actual, 3) / math.sqrt(report.n)
             even = [quartic_stint(2 * i) for i in range(1, t + 1)]
             width = sum(math.log(2 * s + 1, 3) for s in even) / math.sqrt(report.n)

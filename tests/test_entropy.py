@@ -9,10 +9,10 @@ from symgraph import (
     entropy_series,
     fit_scaling,
     golden_graph,
-    golden_linear_bounds,
     golden_linear_system,
     linear_graph,
     milestone_counts,
+    preset_bounds,
     topological_entropy_estimate,
     two_cycle_graph,
 )
@@ -106,7 +106,7 @@ class TestScalingFit:
         assert 0.4 <= fit.mu <= 0.6
         # H(n)/sqrt(n) sits between the exact log bounds normalized the same way
         for t, (n, count) in enumerate(samples, start=1):
-            report = golden_linear_bounds(t)
+            report = preset_bounds("golden-linear", t)[-1]
             h_norm = math.log(count) / math.sqrt(n)
             assert math.log(report.lower) / math.sqrt(n) <= h_norm
             assert h_norm <= math.log(report.upper) / math.sqrt(n)

@@ -8,7 +8,6 @@ import pytest
 
 from symgraph import (
     classify_growth,
-    combined_count,
     combined_count_series,
     complete_graph,
     conjecture_scan,
@@ -82,7 +81,7 @@ def test_counts_leave_the_system_unchanged():
     series = dict(combined_count_series(system, system.schedule.horizon))
     lengths = [1, 2, 4, 5, 16, 17, 81, 100, 255, 256]
     for order in (lengths, lengths[::-1], [n for n in lengths for _ in range(2)]):
-        assert [combined_count(system, n) for n in order] == [series[n] for n in order]
+        assert [total_count(system, n) for n in order] == [series[n] for n in order]
     milestone_counts(system, 3)
     preset_bounds("golden-linear", 3)
     for graph in system.graphs:

@@ -36,6 +36,7 @@ from symgraph import (
     verify_recurrence,
 )
 from symgraph import census, graphs, spectral
+from symgraph.cli import Table
 from symgraph.intmat import mat_mul
 from symgraph.spectral import CharPoly, RecurrenceReport, _squarefree_factors
 
@@ -879,7 +880,8 @@ class TestScan:
     def test_k3_deterministic_and_no_strong_mixed(self):
         # the digest of the table with every rho the correctly rounded Perron root
         report = conjecture_scan(3)
-        assert hashlib.sha256(report.to_csv().encode()).hexdigest() == (
+        csv = Table("scan_table", *report.table()).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
             "4692c0d0515d8d0c88dfbae86335c92aeb8e1ef8339d04a03241c24543ba8505"
         )
         assert report.mixed_strongly_connected == ()
@@ -923,9 +925,9 @@ class TestScan:
 
     def test_k4_scan_reports_chain_witness(self, k4_scan):
         report, runs, _ = k4_scan
-        # the digest of `symgraph scan --k-max 4`'s scan_table.csv, which
-        # writes the same bytes
-        assert hashlib.sha256(report.to_csv().encode()).hexdigest() == (
+        # the digest of `symgraph scan --k-max 4`'s scan_table.csv
+        csv = Table("scan_table", *report.table()).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
             "7f24f327a0b60daae6765fc0ec4b9cb0f85dabee83f1383dc456953ff0ff12a5"
         )
         target = chain_witness_graph()
