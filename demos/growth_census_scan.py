@@ -18,6 +18,8 @@ Run:  python demos/growth_census_scan.py
 
 from collections import Counter
 
+import numpy as np
+
 from symgraph import (
     Alphabet,
     DirectedGraph,
@@ -32,16 +34,19 @@ from symgraph import (
 
 def main():
     report = conjecture_scan(3)
+    # each class stands for its orbit, the labeled rows that index it
+    kinds = Counter()
+    for c, orbit in zip(report.classes, np.bincount(report.index).tolist()):
+        kinds[c.k, c.kind] += orbit
+    _, summary = report.summary()
     print("exhaustive scan, k <= 3 labeled vertices")
-    for k, candidates in report.candidates_by_k:
-        rows = [r for r in report.rows if r.k == k]
-        kinds = Counter(r.kind for r in rows)
-        print(f"  k={k}: {candidates:>4} candidates, {len(rows):>3} weakly connected -> "
-              + ", ".join(f"{kind}: {num}" for kind, num in sorted(kinds.items())))
+    for k, candidates, connected, _, _ in (map(int, row) for row in summary):
+        print(f"  k={k}: {candidates:>4} candidates, {connected:>3} weakly connected -> "
+              + ", ".join(f"{kind}: {num}" for (j, kind), num in sorted(kinds.items()) if j == k))
     print(f"  mixed growth among strongly connected graphs: "
-          f"{len(report.mixed_strongly_connected)} (conjectured impossible)")
+          f"{sum(int(row[3]) for row in summary)} (conjectured impossible)")
     print(f"  mixed growth among weakly-only connected graphs: "
-          f"{len(report.mixed_weakly_only)}")
+          f"{sum(int(row[4]) for row in summary)}")
 
     print("\nk = 4 witness: two looped 2-cliques in a chain")
     adj = ((1, 1, 1, 0), (1, 1, 0, 0), (0, 0, 1, 1), (0, 0, 1, 1))

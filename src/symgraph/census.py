@@ -2,8 +2,8 @@
 
 The number of admissible length-n words from symbol i to symbol j is
 entry (i, j) of M**(n-1), in unbounded integer arithmetic.  A stint is
-(graph, last length it extends to).  A count at chosen lengths is one
-walk (`_walk`) along the stints: the words ending in each letter sum
+(graph, last length it extends to).  The counts at chosen lengths are
+one walk (`_totals`) along the stints: the words ending in each letter sum
 over its predecessor list, one plain-loop 0/1 matrix-vector product
 (`_step`) per step between successive lengths, one binary power of the
 graph's matrix from memoized squares (`intmat.vec_pow`) per longer gap.
@@ -189,8 +189,7 @@ def total_count(source: DirectedGraph | CombinedSystem, n: int) -> int:
     """Exact number of admissible length-n words: 1^T A_2 ... A_n 1, by one walk."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    (vec,) = _walk(source._stints(n), (n,))
-    return sum(vec)
+    return next(_totals(source, (n,)))
 
 
 def _step(pred: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
@@ -204,30 +203,30 @@ def _step(pred: Sequence[Sequence[int]], vec: Sequence[int]) -> list[int]:
     return out
 
 
-def _walk(stints: Sequence[Stint], lengths: Sequence[int]) -> Iterator[Sequence[int]]:
-    """Yield the row vector 1^T A_2 ... A_n at each n of the ascending lengths.
+def _totals(source: DirectedGraph | CombinedSystem, lengths: Sequence[int]) -> Iterator[int]:
+    """Yield the number of length-n words at each n of the non-empty ascending lengths.
 
-    Stint (graph, last) gives A_j, the graph's matrix, for the steps to
-    lengths up to last: one step sums over its predecessor lists, a gap
-    of more than one step is a binary power of its adjacency matrix.
-    Entry v of the n-th vector counts the length-n words ending in v.
+    One walk steps the row vector 1^T A_2 ... A_n, whose entry v counts
+    the words ending in v: stint (graph, last) gives A_j, the graph's
+    matrix, for the steps to lengths up to last.  One step sums over its
+    predecessor lists, a longer gap is a binary power of its matrix.
     """
-    vec, j, i, end = [1] * stints[0][0].k, 1, 0, len(lengths)
+    vec, j, i, end = [1] * source.k, 1, 0, len(lengths)
     if lengths[0] == 1:
-        yield vec
+        yield source.k
         i = 1
-    for graph, last in stints:
+    for graph, last in source._stints(lengths[-1]):
         pred = graph._pred
         b = end if lengths[-1] <= last else bisect_right(lengths, last, i)
         if lengths[b - 1] - j == b - i:  # just j+1, j+2, ...: a plain loop, no test per step
             for j in range(j + 1, lengths[b - 1] + 1):
                 vec = _step(pred, vec)
-                yield vec
+                yield sum(vec)
         else:
             for n in lengths[i:b]:
                 vec = _step(pred, vec) if n == j + 1 else vec_pow(vec, graph.adjacency, n - j)
                 j = n
-                yield vec
+                yield sum(vec)
         if b == end:
             return
         vec = _step(pred, vec) if last == j + 1 else vec_pow(vec, graph.adjacency, last - j)

@@ -26,11 +26,8 @@ import functools
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .census import (
@@ -65,7 +62,6 @@ from .presets import (
     quartic_schedule,
 )
 from .spectral import (
-    MIXED,
     char_poly,
     classify_growth,
     closed_form,
@@ -315,17 +311,7 @@ def cmd_scan(args: argparse.Namespace) -> ExperimentOutput:
     report = conjecture_scan(args.k_max)
     out = ExperimentOutput(_manifest(args))
     out.tables.append(Table("scan_table", *report.table()))
-    tally = Counter()
-    for c, orbit in zip(report.classes, np.bincount(report.index).tolist()):
-        tally[c.k, c.kind == MIXED, c.strongly_connected] += orbit
-    summary_rows = [[str(k), str(candidates), str(sum(n for key, n in tally.items() if key[0] == k)),
-                     str(tally[k, True, True]), str(tally[k, True, False])]
-                    for k, candidates in report.candidates_by_k]
-    out.tables.append(Table(
-        "scan_summary",
-        ["k", "candidates", "weakly_connected_graphs", "mixed_strongly_connected", "mixed_weakly_only"],
-        summary_rows,
-    ))
+    out.tables.append(Table("scan_summary", *report.summary()))
     return out
 
 

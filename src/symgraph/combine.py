@@ -15,10 +15,10 @@ length it extends to): `CombinedSystem._stints` walks the schedule, and
 `DirectedGraph._stints` is the one stint of a single graph.  So
 `census.total_count`, `census.iter_word_sets` and `census.enumerate_words`
 take either source, and so does `combined_count_series`.  Every count is
-one walk along the stints (`census._walk`), to one length, to every
-length (`combined_count_series`) or to the ascending milestones
-(`presets.milestone_counts`); the walk keeps nothing, and a system is
-never written to.
+one walk along the stints (`census._totals`), which yields the count at
+each of its ascending lengths: one length (`total_count`), every length
+(`combined_count_series`) or the milestones (`presets.milestone_counts`).
+The walk keeps nothing, and a system is never written to.
 
 Unlike the words of one graph, a subword of an admissible combined word
 need not be admissible; `find_inadmissible_subword` finds the first such
@@ -33,9 +33,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
 
-from .census import Stint, _walk, format_word
+from .census import Stint, _totals, format_word
 from .graphs import Alphabet, DirectedGraph, GraphSpecError
 
 
@@ -146,16 +145,12 @@ def active_index(system: CombinedSystem, j: int) -> int:
     return (m - 1) % len(system.graphs)
 
 
-def _counts(source: DirectedGraph | CombinedSystem, lengths: Sequence[int]) -> list[tuple[int, int]]:
-    """(n, count) at each n of the non-empty ascending lengths, by one walk (`census._walk`)."""
-    return [(n, sum(vec)) for n, vec in zip(lengths, _walk(source._stints(lengths[-1]), lengths))]
-
-
 def combined_count_series(source: DirectedGraph | CombinedSystem, n_max: int) -> list[tuple[int, int]]:
     """(n, count) for n = 1..n_max by one vector walk along the source's stints."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return _counts(source, range(1, n_max + 1))
+    lengths = range(1, n_max + 1)
+    return list(zip(lengths, _totals(source, lengths)))
 
 
 @dataclass(frozen=True)

@@ -59,19 +59,17 @@ def entropy_series(counts: CountSeries | Iterable[tuple[int, int]]) -> EntropySe
     return EntropySeries(tuple(points), tuple(excluded))
 
 
-def topological_entropy_estimate(series: EntropySeries, window: float = 0.5) -> float:
+def topological_entropy_estimate(series: EntropySeries) -> float:
     """Slope of log2(count) against n, least squares over the series tail.
 
-    The window fraction (default: final half) damps the transient before
-    the dominant growth takes over; for exactly exponential counts the
-    estimate equals log2 of the growth ratio.
+    The final half of the points damps the transient before the dominant
+    growth takes over; for exactly exponential counts the estimate equals
+    log2 of the growth ratio.
     """
     if len(series.points) < 2:
         raise ValueError("need at least two entropy points")
-    if not 0 < window <= 1:
-        raise ValueError("window must be in (0, 1]")
     pts = series.points
-    tail = max(2, math.ceil(len(pts) * window))
+    tail = max(2, math.ceil(len(pts) / 2))
     pts = pts[len(pts) - tail:]
     xs = np.array([p.n for p in pts], dtype=float)
     ys = np.array([p.H / math.log(2) for p in pts], dtype=float)
@@ -118,15 +116,15 @@ def _power_objective(ns: np.ndarray, hs: np.ndarray, mu: float) -> tuple[float, 
     return rms, float(g), float(e)
 
 
-def _fit_power(ns: np.ndarray, hs: np.ndarray, tol: float) -> tuple[float, float, float, float]:
-    """Golden-section search for mu on (0.05, 0.95); inner fit is linear."""
+def _fit_power(ns: np.ndarray, hs: np.ndarray) -> tuple[float, float, float, float]:
+    """Golden-section search for mu on (0.05, 0.95) to width 1e-6; inner fit is linear."""
     invphi = (math.sqrt(5) - 1) / 2
     lo, hi = 0.05, 0.95
     c = hi - invphi * (hi - lo)
     d = lo + invphi * (hi - lo)
     fc = _power_objective(ns, hs, c)[0]
     fd = _power_objective(ns, hs, d)[0]
-    while hi - lo > tol:
+    while hi - lo > 1e-6:
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - invphi * (hi - lo)
@@ -140,7 +138,7 @@ def _fit_power(ns: np.ndarray, hs: np.ndarray, tol: float) -> tuple[float, float
     return mu, g, e, rms
 
 
-def fit_scaling(series: EntropySeries, mu_tol: float = 1e-6) -> ScalingFit:
+def fit_scaling(series: EntropySeries) -> ScalingFit:
     """Fit the three candidate entropy laws and return the best.
 
     linear:       H = n*h + e          (h clamped at 0)
@@ -168,7 +166,7 @@ def fit_scaling(series: EntropySeries, mu_tol: float = 1e-6) -> ScalingFit:
         h_lin, e_lin = 0.0, float(hs.mean())
         rms_lin = float(np.sqrt(np.mean((hs - e_lin) ** 2)))
 
-    mu, g_pow, e_pow, rms_pow = _fit_power(ns, hs, mu_tol)
+    mu, g_pow, e_pow, rms_pow = _fit_power(ns, hs)
 
     design = np.column_stack([np.log(ns), np.ones_like(ns)])
     (g_log, e_log), rms_log = _lstsq_rms(design, hs)

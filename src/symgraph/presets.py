@@ -24,8 +24,8 @@ import math
 from itertools import accumulate
 from operator import mul
 
-from .census import _walk
-from .combine import BoundReport, CombinedSystem, Schedule, _counts
+from .census import _totals
+from .combine import BoundReport, CombinedSystem, Schedule
 from .graphs import DirectedGraph, graph_from_edges
 
 GOLDEN_LINEAR = "golden-linear"
@@ -84,7 +84,7 @@ def milestone_counts(system: CombinedSystem, t_max: int) -> list[tuple[int, int]
     """
     horizon = system.schedule.horizon
     milestones = [(t + 1) ** 4 for t in range(1, t_max + 1) if (t + 1) ** 4 <= horizon]
-    return _counts(system, milestones) if milestones else []
+    return list(zip(milestones, _totals(system, milestones))) if milestones else []
 
 
 def golden_linear_system(t_max: int) -> CombinedSystem:
@@ -117,8 +117,8 @@ def _golden_linear_sandwiches(t_max: int) -> list[tuple[int, int]]:
     linear-graph steps).  The golden counts come from one walk.
     """
     odd = [quartic_stint(2 * t - 1) for t in range(1, t_max + 1)]
-    lengths, golden = list(accumulate(odd)), golden_graph()
-    counts = map(sum, _walk(golden._stints(lengths[-1]), lengths))
+    lengths = list(accumulate(odd))
+    counts = _totals(golden_graph(), lengths)
     steps = accumulate(quartic_stint(2 * t) for t in range(1, t_max + 1))
     lowers = accumulate(map(fibonacci, odd), mul)
     return [(lower, count * (1 + 2 * s)) for lower, count, s in zip(lowers, counts, steps)]

@@ -47,7 +47,7 @@ import numpy as np
 
 from .graphs import Alphabet, DirectedGraph, strongly_connected_components
 from .graphs import _graph_from_rows, _strongly_connected
-from .census import _step, _walk
+from .census import _step, _totals
 
 # for classifying a closed form only: the float distance at which two root
 # moduli count as equal, and the relative modulus below which a term is absent
@@ -103,13 +103,13 @@ class CharPoly:
             z += 1
         return z
 
-    def pretty(self, var: str = "x") -> str:
+    def pretty(self) -> str:
         parts = []
         for i, c in enumerate(self.coefficients):
             p = self.degree - i
             if c == 0:
                 continue
-            term = f"{var}^{p}" if p > 1 else (var if p == 1 else "")
+            term = f"x^{p}" if p > 1 else ("x" if p == 1 else "")
             mag = abs(c)
             coeff = "" if (mag == 1 and p > 0) else str(mag)
             body = f"{coeff}{term}" if term or coeff else "1"
@@ -504,7 +504,7 @@ def _w_series(p: list[int] | tuple[int, ...], root: complex, terms: int) -> list
 def _numerator(graph: DirectedGraph, poly: CharPoly) -> list[int]:
     """N = D*G mod x^(k+1), low-first, from the exact counts t(1..k)."""
     d, k = poly.coefficients, graph.k
-    t = [0] + [sum(vec) for vec in _walk(graph._stints(k), range(1, k + 1))]
+    t = [0, *_totals(graph, range(1, k + 1))]
     return [sum(d[i] * t[n - i] for i in range(n + 1)) for n in range(len(d))]
 
 
@@ -706,27 +706,9 @@ class ScanReport:
     """Each isomorphism class as its canonical graph's row; each labeled row as its class's index."""
 
     k_max: int
-    candidates_by_k: tuple[tuple[int, int], ...]  # (k, 2**(k*k))
     classes: tuple[ScanRow, ...]  # each class's canonical graph, by ascending (k, bitmask)
     masks: np.ndarray    # the labeled rows' bitmasks, by ascending (k, bitmask)
     index: np.ndarray    # each labeled row's position in classes
-
-    @property
-    def rows(self) -> tuple[ScanRow, ...]:
-        tails = [(c.k, c.strongly_connected, c.kind, c.rho, c.poly_degree) for c in self.classes]
-        return tuple(ScanRow(m, *tails[i]) for m, i in zip(self.masks.tolist(), self.index.tolist()))
-
-    @property
-    def mixed_rows(self) -> tuple[ScanRow, ...]:
-        return tuple(r for r in self.rows if r.kind == MIXED)
-
-    @property
-    def mixed_strongly_connected(self) -> tuple[ScanRow, ...]:
-        return tuple(r for r in self.mixed_rows if r.strongly_connected)
-
-    @property
-    def mixed_weakly_only(self) -> tuple[ScanRow, ...]:
-        return tuple(r for r in self.mixed_rows if not r.strongly_connected)
 
     def table(self) -> tuple[list[str], list[list[str]]]:
         """The columns and rows of the scan table; each class's cells are formatted once."""
@@ -734,6 +716,17 @@ class ScanReport:
                  for c in self.classes]
         rows = [[m, *tails[i]] for m, i in zip(map(str, self.masks.tolist()), self.index.tolist())]
         return ["bitmask", "k", "strongly_connected", "kind", "rho", "poly_degree"], rows
+
+    def summary(self) -> tuple[list[str], list[list[str]]]:
+        """Per k: the candidate masks, the labeled rows, and the mixed ones strongly
+        and only weakly connected; each class counts its labeled rows."""
+        rows = {k: [k, 1 << k * k, 0, 0, 0] for k in range(1, self.k_max + 1)}
+        for c, orbit in zip(self.classes, np.bincount(self.index).tolist()):
+            rows[c.k][2] += orbit
+            if c.kind == MIXED:
+                rows[c.k][3 if c.strongly_connected else 4] += orbit
+        columns = ["k", "candidates", "weakly_connected_graphs", "mixed_strongly_connected", "mixed_weakly_only"]
+        return columns, [list(map(str, row)) for row in rows.values()]
 
 
 _SCAN_SYMBOLS = ("A", "B", "C", "D")
@@ -791,8 +784,8 @@ def conjecture_scan(k_max: int) -> ScanReport:
     """Classify every weakly connected digraph on up to k_max labeled vertices.
 
     The report lists each graph with its growth class, in canonical
-    (k, bitmask) order, so that mixed polynomial-exponential findings can
-    be inspected separately for strongly and only-weakly connected graphs.
+    (k, bitmask) order; its summary counts the mixed polynomial-exponential
+    findings separately for strongly and only-weakly connected graphs.
     Growth and strong connectivity (weak connectivity is already proved)
     do not change under relabeling, so both are read once per isomorphism
     class, which each row indexes, from the class memo (`_class_of`) of
@@ -813,5 +806,4 @@ def conjecture_scan(k_max: int) -> ScanReport:
             classes.append(ScanRow(key, k, strongly, growth.kind, growth.rho, growth.poly_degree))
     masks, index = np.concatenate(masks), np.concatenate(index)
     masks.flags.writeable = index.flags.writeable = False  # a report is a value
-    candidates = tuple((k, 1 << (k * k)) for k in range(1, k_max + 1))
-    return ScanReport(k_max, candidates, tuple(classes), masks, index)
+    return ScanReport(k_max, tuple(classes), masks, index)

@@ -63,12 +63,6 @@ class TestTopologicalEntropy:
         series = entropy_series(count_series(linear_graph(), 400))
         assert abs(topological_entropy_estimate(series)) <= 0.01
 
-    def test_window_knob(self):
-        series = entropy_series(count_series(golden_graph(), 60))
-        full = topological_entropy_estimate(series, window=1.0)
-        tail = topological_entropy_estimate(series, window=0.25)
-        assert abs(tail - math.log2(MU)) <= abs(full - math.log2(MU)) + 1e-12
-
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             topological_entropy_estimate(entropy_series([(1, 2)]))

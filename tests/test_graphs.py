@@ -11,6 +11,7 @@ from symgraph import (
     DirectedGraph,
     GraphDiagnostics,
     GraphSpecError,
+    MIXED,
     complete_graph,
     conjecture_scan,
     golden_graph,
@@ -25,6 +26,7 @@ from symgraph import (
     two_cycle_graph,
     validate,
 )
+from symgraph import spectral
 
 G1_SPEC = json.dumps({
     "alphabet": ["X", "Y", "Z"],
@@ -214,10 +216,29 @@ class TestValidate:
         assert (len(strongly_connected_components(g)) == 1) == want
 
     def test_scan_strongly_connected_column_matches_bfs(self):
-        for row in conjecture_scan(3).rows:
+        report = conjecture_scan(3)
+        for mask, c in zip(report.masks.tolist(), report.index.tolist()):
+            row = report.classes[c]
             k = row.k
-            adj = tuple(tuple(row.bitmask >> (i * k + j) & 1 for j in range(k)) for i in range(k))
-            assert row.strongly_connected == bfs_strongly_connected(adj), (k, row.bitmask)
+            adj = tuple(tuple(mask >> (i * k + j) & 1 for j in range(k)) for i in range(k))
+            assert row.strongly_connected == bfs_strongly_connected(adj), (k, mask)
+
+    def test_scan_summary_matches_a_tally_of_every_labeled_graph(self):
+        # from empty memos, each labeled connected graph classified on its
+        # own, without the class memo: the summary's counts per k
+        want = []
+        for k in (1, 2, 3):
+            row = [k, 1 << k * k, 0, 0, 0]
+            for mask in iter_connected_bitmasks(k):
+                row[2] += 1
+                if spectral._classify_graph(graph_from_bitmask(k, mask)).kind == MIXED:
+                    adj = tuple(tuple(mask >> (i * k + j) & 1 for j in range(k)) for i in range(k))
+                    row[3 if bfs_strongly_connected(adj) else 4] += 1
+            want.append(list(map(str, row)))
+        columns, rows = conjecture_scan(3).summary()
+        assert columns == ["k", "candidates", "weakly_connected_graphs",
+                           "mixed_strongly_connected", "mixed_weakly_only"]
+        assert rows == want
 
     def test_absorbing_rows_zero_off_diagonal(self):
         # property: the absorbing states are exactly the vertices whose row

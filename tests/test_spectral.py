@@ -163,6 +163,21 @@ def k4_scan():
     return report, runs, classes
 
 
+def labeled_rows(report):
+    """Each labeled row of a scan report: its bitmask and its class's ScanRow."""
+    return [(m, report.classes[i]) for m, i in zip(report.masks.tolist(), report.index.tolist())]
+
+
+def mixed_rows(report, strongly_connected):
+    """(k, bitmask) of each labeled mixed row, strongly or only weakly connected."""
+    return [(c.k, m) for m, c in labeled_rows(report)
+            if c.kind == MIXED and c.strongly_connected == strongly_connected]
+
+
+def digest(table):
+    return hashlib.sha256(table.encode()).hexdigest()
+
+
 def golden_tie_graph():
     """A golden block feeding its own edge graph: two components with Perron root mu."""
     return graph_from_edges(
@@ -848,7 +863,7 @@ class TestStructuralClass:
             raise AssertionError("the structural class must not compute counts, residues or roots")
 
         monkeypatch.setattr(census, "count_series", forbidden)
-        monkeypatch.setattr(spectral, "_walk", forbidden)
+        monkeypatch.setattr(spectral, "_totals", forbidden)
         monkeypatch.setattr(spectral, "closed_form", forbidden)
         monkeypatch.setattr(spectral, "_w_series", forbidden)
         monkeypatch.setattr(spectral, "char_poly", forbidden)
@@ -868,24 +883,22 @@ class TestStructuralClass:
 class TestScan:
     def test_k1(self):
         report = conjecture_scan(1)
-        assert len(report.rows) == 1
-        row = report.rows[0]
+        assert len(report.masks) == 1
+        ((_, row),) = labeled_rows(report)
         assert row.kind == POLYNOMIAL and row.poly_degree == 0
-        assert report.mixed_rows == ()
+        assert mixed_rows(report, True) == mixed_rows(report, False) == []
 
     def test_k2_no_mixed_among_strongly_connected(self):
         report = conjecture_scan(2)
-        assert report.mixed_strongly_connected == ()
+        assert mixed_rows(report, True) == []
 
     def test_k3_deterministic_and_no_strong_mixed(self):
         # the digest of the table with every rho the correctly rounded Perron root
         report = conjecture_scan(3)
         csv = Table("scan_table", *report.table()).to_csv()
-        assert hashlib.sha256(csv.encode()).hexdigest() == (
-            "4692c0d0515d8d0c88dfbae86335c92aeb8e1ef8339d04a03241c24543ba8505"
-        )
-        assert report.mixed_strongly_connected == ()
-        assert report.candidates_by_k == ((1, 2), (2, 16), (3, 512))
+        assert digest(csv) == "4692c0d0515d8d0c88dfbae86335c92aeb8e1ef8339d04a03241c24543ba8505"
+        assert mixed_rows(report, True) == []
+        assert [(row[0], row[1]) for row in report.summary()[1]] == [("1", "2"), ("2", "16"), ("3", "512")]
 
     def test_connected_bitmasks_match_union_find(self):
         def connected(k, mask):
@@ -914,10 +927,10 @@ class TestScan:
     def test_k3_perron_roots_real_simple_for_strongly_connected(self):
         # dominant root of every strongly connected graph is real and simple
         report = conjecture_scan(3)
-        for row in report.rows:
+        for mask, row in labeled_rows(report):
             if not row.strongly_connected:
                 continue
-            g = graph_from_bitmask(row.k, row.bitmask)
+            g = graph_from_bitmask(row.k, mask)
             form = closed_form(g)
             dominant = [t for t in form.terms if abs(abs(t.root) - row.rho) < 1e-7]
             if row.rho > 0:
@@ -925,11 +938,12 @@ class TestScan:
 
     def test_k4_scan_reports_chain_witness(self, k4_scan):
         report, runs, _ = k4_scan
-        # the digest of `symgraph scan --k-max 4`'s scan_table.csv
-        csv = Table("scan_table", *report.table()).to_csv()
-        assert hashlib.sha256(csv.encode()).hexdigest() == (
-            "7f24f327a0b60daae6765fc0ec4b9cb0f85dabee83f1383dc456953ff0ff12a5"
-        )
+        # the digests of `symgraph scan --k-max 4`'s tables, as CSV and JSON
+        table, summary = Table("scan_table", *report.table()), Table("scan_summary", *report.summary())
+        assert digest(table.to_csv()) == "7f24f327a0b60daae6765fc0ec4b9cb0f85dabee83f1383dc456953ff0ff12a5"
+        assert digest(summary.to_csv()) == "4a20561130b4b9abb439e01ba872322ed59c587410cdd226ca78816f926f5570"
+        assert digest(table.to_json()) == "138d0848d549e062032063fc510d5369ab2d6263b849c04281a37621193fa18d"
+        assert digest(summary.to_json()) == "bd06a945a101aa336ab9351a1d33f8953cd3420e7585445cf52ad3e97c154c70"
         target = chain_witness_graph()
         mask = sum(
             1 << (i * 4 + j)
@@ -937,18 +951,18 @@ class TestScan:
             for j in range(4)
             if target.adjacency[i][j]
         )
-        found = [r for r in report.mixed_rows if r.k == 4 and r.bitmask == mask]
-        assert len(found) == 1
+        found = [c for m, c in labeled_rows(report) if c.k == 4 and m == mask]
+        assert len(found) == 1 and found[0].kind == MIXED
         assert not found[0].strongly_connected
-        assert found[0] in report.mixed_weakly_only
+        assert (4, mask) in mixed_rows(report, False)
         # conjecture: no mixed growth among strongly connected graphs
-        assert report.mixed_strongly_connected == ()
+        assert mixed_rows(report, True) == []
         # only a strongly connected graph runs Berkowitz on all 4 vertices,
         # to report its rho, and only the canonical graph of its isomorphism
         # class; the others multiply memoized blocks
-        exponential = [r for r in report.rows if r.k == 4 and r.rho > 1]
+        exponential = [(m, c) for m, c in labeled_rows(report) if c.k == 4 and c.rho > 1]
         assert len(exponential) == 51_152
-        strong = [r.bitmask for r in exponential if r.strongly_connected]
+        strong = [m for m, c in exponential if c.strongly_connected]
         assert len(strong) == 25_690
         assert runs[4] == len(set(canonical_masks(4, strong))) == 1_167
 
@@ -962,8 +976,8 @@ class TestScan:
         assert set(classes) == keys and len(keys) == 2_912
         # every labeled row reads the class of its canonical form
         for k in (1, 2, 3, 4):
-            rows = [r for r in report.rows if r.k == k]
-            for row, least in zip(rows, canonical_masks(k, [r.bitmask for r in rows])):
+            rows = [(m, c) for m, c in labeled_rows(report) if c.k == k]
+            for (_, row), least in zip(rows, canonical_masks(k, [m for m, _ in rows])):
                 growth = classes[k, least]
                 assert (row.kind, row.rho, row.poly_degree) == (
                     growth.kind, growth.rho, growth.poly_degree
@@ -1004,9 +1018,9 @@ class TestScan:
         # each row, copied from its class, equals its own graph classified
         # and reachability-tested without the class memo
         report = conjecture_scan(3)
-        assert len(report.rows) == 445
-        for row in report.rows:
-            g = graph_from_bitmask(row.k, row.bitmask)
+        assert len(report.masks) == 445
+        for mask, row in labeled_rows(report):
+            g = graph_from_bitmask(row.k, mask)
             growth = spectral._classify_graph(g)
             assert (row.strongly_connected, row.kind, row.rho, row.poly_degree) == (
                 graphs._strongly_connected(g), growth.kind, growth.rho, growth.poly_degree
