@@ -40,7 +40,7 @@ import os
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -159,8 +159,9 @@ class CountMatrix:
         return self.entries[i][j]
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(NamedTuple):
+    """The exact counts at length n: all words, by first letter, by last letter."""
+
     n: int
     total: int
     row_sums: tuple[int, ...]
@@ -234,7 +235,7 @@ def _totals(source: DirectedGraph | CombinedSystem, lengths: Sequence[int]) -> I
 
 
 def count_series(graph: DirectedGraph, n_max: int) -> CountSeries:
-    """Counts for n = 1..n_max, the column and row sums stepped together.
+    """One CountRow per n = 1..n_max, the column and row sums stepped together.
 
     Column sums step over the predecessor lists.  Row sums step over the
     successor lists, which are the predecessor lists of the reversed graph.

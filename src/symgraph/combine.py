@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .census import Stint, _totals, format_word
 from .graphs import Alphabet, DirectedGraph, GraphSpecError
@@ -236,8 +237,7 @@ def find_inadmissible_subword(system: CombinedSystem, n_max: int) -> SubwordWitn
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Exact sandwich check lower < actual < upper at a milestone length."""
 
     t: int

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,9 @@ LOGARITHMIC = "logarithmic"
 _MODEL_ORDER = (LINEAR, POWER, LOGARITHMIC)
 
 
-@dataclass(frozen=True)
-class EntropyPoint:
+class EntropyPoint(NamedTuple):
+    """One length's entropies; `count` is the field, shadowing `tuple.count`."""
+
     n: int
     count: int
     H: float        # natural log of the exact count
@@ -43,7 +44,7 @@ class EntropySeries:
 
 
 def entropy_series(counts: CountSeries | Iterable[tuple[int, int]]) -> EntropySeries:
-    """Entropy per length from exact counts; zero-count lengths are dropped.
+    """One EntropyPoint per length from exact counts; zero-count lengths are dropped.
 
     math.log on Python integers is exact to well below 1e-12 relative
     error regardless of magnitude, so huge counts are fine.

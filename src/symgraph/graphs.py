@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress, filterfalse
+from typing import NamedTuple
 
 from .intmat import IntMatrix
 
@@ -125,8 +126,7 @@ def _graph_from_rows(alphabet: Alphabet, rows: tuple, lists: tuple, bits: list) 
     return graph
 
 
-@dataclass(frozen=True)
-class GraphDiagnostics:
+class GraphDiagnostics(NamedTuple):
     weakly_connected: bool
     strongly_connected: bool
     absorbing_states: tuple[str, ...]
@@ -268,12 +268,7 @@ def validate(graph: DirectedGraph) -> GraphDiagnostics:
         for i, (sym, s) in enumerate(zip(graph.alphabet.symbols, graph._succ))
         if not s or s == (i,)
     )
-    return GraphDiagnostics(
-        weakly_connected=weakly,
-        strongly_connected=strongly,
-        absorbing_states=absorbing,
-        edge_count=graph.edge_count,
-    )
+    return GraphDiagnostics(weakly, strongly, absorbing, graph.edge_count)
 
 
 def higher_order_graph(graph: DirectedGraph) -> DirectedGraph:

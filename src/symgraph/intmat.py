@@ -13,6 +13,7 @@ squarings.  A whole power M**e is its rows e_i * M**e.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -20,14 +21,12 @@ IntMatrix = tuple[tuple[int, ...], ...]
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Exact product of two square integer matrices of equal size."""
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def vec_mul(v: tuple[int, ...], m: IntMatrix) -> tuple[int, ...]:
     """Exact row-vector product v * m."""
-    return tuple(sum(x * y for x, y in zip(v, col)) for col in zip(*m))
+    return tuple(sum(map(mul, v, col)) for col in zip(*m))
 
 
 @lru_cache(maxsize=128)

@@ -137,6 +137,9 @@ _PRESETS = {
     GOLDEN_LINEAR: (golden_linear_system, _golden_linear_sandwiches),
     COMPLETE_LINEAR: (complete_linear_system, _complete_linear_sandwiches),
 }
+# each bundled system's (symbols, adjacency) pairs, built once for match_preset
+_PRESET_GRAPHS = tuple((tuple((g.alphabet.symbols, g.adjacency) for g in make_system(1).graphs), name)
+                       for name, (make_system, _) in _PRESETS.items())
 
 
 def preset_bounds(name: str, t_max: int) -> list[BoundReport]:
@@ -200,8 +203,5 @@ def match_preset(system: CombinedSystem) -> str | None:
     expected = tuple(quartic_stint(t) for t in range(1, len(stints) + 1))
     if stints != expected:
         return None
-    graphs = [(g.alphabet.symbols, g.adjacency) for g in system.graphs]
-    for name, (make_system, _) in _PRESETS.items():
-        if graphs == [(g.alphabet.symbols, g.adjacency) for g in make_system(1).graphs]:
-            return name
-    return None
+    graphs = tuple((g.alphabet.symbols, g.adjacency) for g in system.graphs)
+    return next((name for pairs, name in _PRESET_GRAPHS if pairs == graphs), None)

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, permutations
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,10 +198,10 @@ def verify_recurrence(graph: DirectedGraph, n_max: int) -> RecurrenceReport:
 
     The value at M is found on one packed row vector
     u = (1, 2^w, 2^(2w), ...): entry j of u times the value holds column
-    j as digits in base 2^w.  No entry of a power M^r with r <= deg
-    exceeds k^deg, so no entry of the value exceeds
-    B = sum_r |c_r| * k^deg in modulus, and w is chosen with
-    2^(w-1) > B.  Each packed column then reads back as k signed base-2^w
+    j as digits in base 2^w.  With D the largest row sum of M, taken as
+    at least 1, no entry of a power M^r with r <= deg exceeds D^deg, so
+    no entry of the value exceeds B = sum_r |c_r| * D^deg in modulus,
+    and w is chosen with 2^(w-1) > B.  Each packed column then reads back as k signed base-2^w
     digits, lowest first, and is 0 exactly when the column is.  Horner's
     rule on u costs one product `_step` over the k predecessor lists per
     coefficient.
@@ -209,7 +210,7 @@ def verify_recurrence(graph: DirectedGraph, n_max: int) -> RecurrenceReport:
     if n_max <= k:
         raise ValueError(f"n_max must exceed the alphabet size {k}")
     poly = char_poly(graph)
-    w = (sum(map(abs, poly.coefficients)) * k ** poly.degree).bit_length() + 1
+    w = (sum(map(abs, poly.coefficients)) * max(1, *map(len, graph._succ)) ** poly.degree).bit_length() + 1
     u = [1 << (i * w) for i in range(k)]
     packed = u
     for c in poly.coefficients[1:]:
@@ -439,8 +440,7 @@ def _top_owners(polys: tuple[Poly, ...]) -> tuple[tuple[int, ...], float]:
 # closed form
 
 
-@dataclass(frozen=True)
-class ClosedFormTerm:
+class ClosedFormTerm(NamedTuple):
     root: complex
     multiplicity: int
     coefficients: tuple[complex, ...]  # for n^0, n^1, ..., n^(multiplicity-1)
@@ -525,7 +525,7 @@ def _term(num: list[int], d: tuple[int, ...], root: complex, m: int) -> ClosedFo
 
 
 def closed_form(graph: DirectedGraph) -> ClosedForm:
-    """Closed form of the total count over the nonzero eigenvalues.
+    """Closed form of the total count: one ClosedFormTerm per nonzero eigenvalue.
 
     The counts t(n) of n-letter words have the rational generating
     function G(x) = sum_{n>=1} t(n) x^n = N(x)/D(x), where
@@ -691,8 +691,7 @@ def _classify_terms(terms: tuple[ClosedFormTerm, ...]) -> GrowthClass:
 # exhaustive small-graph scan
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     bitmask: int         # adjacency bits, row-major: bit i*k+j is edge i->j
     k: int
     strongly_connected: bool
@@ -703,7 +702,7 @@ class ScanRow:
 
 @dataclass(frozen=True, eq=False)
 class ScanReport:
-    """Each isomorphism class as its canonical graph's row; each labeled row as its class's index."""
+    """Each isomorphism class as its canonical graph's ScanRow; each labeled row as its class's index."""
 
     k_max: int
     classes: tuple[ScanRow, ...]  # each class's canonical graph, by ascending (k, bitmask)

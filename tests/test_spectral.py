@@ -380,6 +380,11 @@ class TestRecurrence:
     @example(adj=((1,),), position=1, delta=2 ** 100)
     @example(adj=((1, 1, 1), (1, 1, 1), (1, 1, 1)), position=3, delta=-1)
     @example(adj=((0, 0, 0), (1, 0, 0), (0, 1, 0)), position=2, delta=-(2 ** 100))
+    # a 24-letter ring with one chord: row sums at most 2, far below k
+    @example(adj=tuple(tuple(int(j == (i + 1) % 24 or (i, j) == (0, 12)) for j in range(24))
+                       for i in range(24)), position=5, delta=-1)
+    # no edges: every row sum is 0, taken as 1, and chi(M) is its constant term
+    @example(adj=((0, 0), (0, 0)), position=2, delta=-1)
     def test_packed_proof_sees_every_perturbation(self, adj, position, delta):
         # the packed vector must read back every entry of chi(M), signs and all
         k = len(adj)
