@@ -18,7 +18,7 @@ take either source, and so does `combined_count_series`.  Every count is
 one walk along the stints (`census._totals`), which yields the count at
 each of its ascending lengths: one length (`total_count`), every length
 (`combined_count_series`) or the milestones (`presets.milestone_counts`).
-The walk keeps nothing, and a system is never written to.
+Long runs follow the stint graph's recurrence; no system is written to.
 
 Unlike the words of one graph, a subword of an admissible combined word
 need not be admissible; `find_inadmissible_subword` finds the first such
@@ -147,7 +147,7 @@ def active_index(system: CombinedSystem, j: int) -> int:
 
 
 def combined_count_series(source: DirectedGraph | CombinedSystem, n_max: int) -> list[tuple[int, int]]:
-    """(n, count) for n = 1..n_max by one vector walk along the source's stints."""
+    """(n, count) for n = 1..n_max along the source's stints, a long stint by its graph's recurrence."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     lengths = range(1, n_max + 1)

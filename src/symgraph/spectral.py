@@ -48,7 +48,8 @@ import numpy as np
 
 from .graphs import Alphabet, DirectedGraph, strongly_connected_components
 from .graphs import _graph_from_rows, _strongly_connected
-from .census import _step, _totals
+from .census import _totals
+from .intmat import _berkowitz, _step
 
 # for classifying a closed form only: the float distance at which two root
 # moduli count as equal, and the relative modulus below which a term is absent
@@ -132,7 +133,7 @@ def char_poly(graph: DirectedGraph) -> CharPoly:
     """
     succ, comps = graph._succ, strongly_connected_components(graph)
     if len(comps) == 1:
-        return _berkowitz(succ)
+        return CharPoly(_berkowitz(succ))
     coefficients: Poly = (1,)
     for comp in comps:
         coefficients = _mul(coefficients, _component_poly(succ, comp))
@@ -143,34 +144,7 @@ def _component_poly(succ: tuple[tuple[int, ...], ...], comp: tuple[int, ...]) ->
     """Characteristic polynomial of the subgraph on one component."""
     pos = {v: i for i, v in enumerate(comp)}
     sub = tuple(tuple(pos[j] for j in succ[v] if j in pos) for v in comp)
-    return _berkowitz(sub).coefficients
-
-
-@lru_cache(maxsize=128)
-def _berkowitz(succ: tuple[tuple[int, ...], ...]) -> CharPoly:
-    # Keyed by successor lists: one graph's repeated callers (analyze's
-    # table, closed form and recurrence check) share one run, and so do
-    # equal components, relabeled from 0, of different graphs.
-    # Step m borders the leading m x m block with row and column m.
-    v = [1, -int(0 in succ[0])]
-    for m in range(1, len(succ)):
-        # the leading block's rows, then row m, each cut to columns < m
-        bordered = [[j for j in s if j < m] for s in succ[: m + 1]]
-        # Toeplitz column: 1, -a_mm, -(row @ block^i @ col) for i = 0..m-1
-        toep = [1, -int(m in succ[m])]
-        w = [int(m in s) for s in succ[:m]]
-        for _ in range(m):
-            w = _step(bordered, w)  # block @ w, then row @ w
-            toep.append(-w.pop())
-        # v <- (lower-triangular Toeplitz matrix of toep) @ v, one entry longer
-        nv = [0] * (m + 2)
-        for j, c in enumerate(v):
-            if c:
-                for t, d in enumerate(toep[: m + 2 - j]):
-                    if d:
-                        nv[j + t] += d * c
-        v = nv
-    return CharPoly(tuple(v))
+    return _berkowitz(sub)
 
 
 # ---------------------------------------------------------------------------

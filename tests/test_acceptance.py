@@ -7,10 +7,12 @@ is exact integer arithmetic throughout.
 
 import math
 import time
+from itertools import count, islice, takewhile
 
 from symgraph import (
     char_poly,
     closed_form,
+    combined_count_series,
     complete_graph,
     complete_linear_system,
     conjecture_scan,
@@ -125,11 +127,16 @@ def test_criterion_05_golden_linear_bounds():
     assert total_count(golden_linear_system(1), 16) == 91
     reports = [preset_bounds("golden-linear", t)[-1] for t in range(1, 7)]
     elapsed = time.perf_counter() - start
-    ok = all(r.holds for r in reports) and reports[-1].n == 2401 and elapsed < 1
-    report(5, ok, f"count(16)=91; strict bounds hold for t<=6 (n up to 2401) in {elapsed:.2f}s")
+    # every count to n = 3000, long stints included, against an independent vector walk
+    walked = [(n, sum(ends)) for n, ends in islice(_quartic_walk(_golden_step), 3000)]
+    oracle_ok = combined_count_series(golden_linear_system(7), 3000) == walked
+    ok = all(r.holds for r in reports) and reports[-1].n == 2401 and elapsed < 1 and oracle_ok
+    report(5, ok, f"count(16)=91; strict bounds hold for t<=6 (n up to 2401) in {elapsed:.2f}s; "
+                  f"walk oracle agrees n<=3000: {oracle_ok}")
     assert all(r.holds for r in reports)
     assert reports[-1].n == 2401
     assert elapsed < 1
+    assert oracle_ok, "combined_count_series disagrees with the vector walk"
 
 
 def test_criterion_06_complete_linear_bounds():
@@ -144,39 +151,46 @@ def test_criterion_06_complete_linear_bounds():
     assert elapsed < 1
 
 
-def _quartic_walk_totals(t_max: int) -> list[int]:
-    """Complete-linear counts at the milestones (t+1)**4, t = 1..t_max.
+def _complete_step(x, y, z):
+    return (x + y + z,) * 3
+
+
+def _golden_step(x, y, z):  # X->X, X->Y, X->Z, Y->Y, Z->X, Z->Y
+    return x + z, x + y + z, x
+
+
+def _linear_step(x, y, z):  # X->Y, Y->Y, Z->X, Z->Y, Z->Z
+    return z, x + y + z, z
+
+
+def _quartic_walk(fast_step):
+    """Yield (n, words of length n by last letter) for n = 1, 2, ...
 
     Independent of total_count: one vector step per letter, no matrix
-    powers and no stint grouping.  The stints are the module formula of
-    symgraph.presets: s_1 = 4, s_{2i-1} = 2i + 1,
-    s_{2i} = (i+1)**4 - i**4 + i**2 - (i+1)**2; stint m is driven by the
-    complete graph (m odd) or the linear graph (m even).
+    powers, no stint grouping and no recurrence.  The stints are the
+    module formula of symgraph.presets: s_1 = 4, s_{2i-1} = 2i + 1,
+    s_{2i} = (i+1)**4 - i**4 + i**2 - (i+1)**2; stint m is driven by
+    fast_step (m odd) or the linear graph (m even).
     """
-
-    def complete_step(x, y, z):
-        return (x + y + z,) * 3
-
-    def linear_step(x, y, z):  # X->Y, Y->Y, Z->X, Z->Y, Z->Z
-        return z, x + y + z, z
-
-    stints = [4]
-    for i in range(1, t_max + 1):
-        if i > 1:
-            stints.append(2 * i + 1)
-        stints.append((i + 1) ** 4 - i ** 4 + i ** 2 - (i + 1) ** 2)
     ends = (1, 1, 1)  # one-letter words by last letter
     length = 1
-    totals = []
-    for m, stint in enumerate(stints, start=1):
-        step = complete_step if m % 2 else linear_step
-        for _ in range(stint - 1 if m == 1 else stint):
-            ends = step(*ends)
-            length += 1
-        if m % 2 == 0:
-            assert length == (m // 2 + 1) ** 4
-            totals.append(sum(ends))
-    return totals
+    yield length, ends
+    for i in count(1):
+        odd = 3 if i == 1 else 2 * i + 1  # s_1 = 4 performs 3 extensions
+        even = (i + 1) ** 4 - i ** 4 + i ** 2 - (i + 1) ** 2
+        for step, stint in ((fast_step, odd), (_linear_step, even)):
+            for _ in range(stint):
+                ends = step(*ends)
+                length += 1
+                yield length, ends
+        assert length == (i + 1) ** 4
+
+
+def _quartic_walk_totals(t_max: int) -> list[int]:
+    """Complete-linear counts at the milestones (t+1)**4, t = 1..t_max, by `_quartic_walk`."""
+    milestones = {(t + 1) ** 4 for t in range(1, t_max + 1)}
+    walk = takewhile(lambda point: point[0] <= (t_max + 1) ** 4, _quartic_walk(_complete_step))
+    return [sum(ends) for n, ends in walk if n in milestones]
 
 
 def test_criterion_07_stretched_exponential():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from symgraph import (
     total_count,
     WordSet,
 )
+from symgraph import census, intmat
 from symgraph.census import _totals, _word_sets
 from symgraph.combine import SubwordWitness
 
@@ -94,6 +96,35 @@ def walk_cases(draw, k_max=5):
     schedule = Schedule.from_stints(draw(st.lists(st.integers(1, 9), min_size=1, max_size=8)))
     n_max = draw(st.sampled_from(schedule.g[1:]) | st.integers(1, schedule.horizon))
     return CombinedSystem(graphs, schedule), n_max
+
+
+# entry (i, j) of each kind of graph, from a random bit and a vertex v
+GRAPH_KINDS = {
+    "any": lambda i, j, bit, v: bit,
+    "edgeless": lambda i, j, bit, v: 0,
+    "nilpotent": lambda i, j, bit, v: bit if i < j else 0,  # loopless and acyclic
+    "one loop": lambda i, j, bit, v: int(i == j == v),
+}
+
+
+@st.composite
+def recurrence_cases(draw):
+    """(system, lengths): one to three graphs of one to five letters, of any
+    kind in GRAPH_KINDS, on stints both at most k**2 and above it, with a
+    sparse ascending subset of the lengths up to the horizon."""
+    k = draw(st.integers(1, 5))
+    alphabet = Alphabet(tuple(f"v{i}" for i in range(k)))
+    graphs = []
+    for kind in draw(st.lists(st.sampled_from(sorted(GRAPH_KINDS)), min_size=1, max_size=3)):
+        bits = draw(st.lists(st.integers(0, 1), min_size=k * k, max_size=k * k))
+        v = draw(st.integers(0, k - 1))
+        entry = GRAPH_KINDS[kind]
+        graphs.append(DirectedGraph(alphabet, tuple(
+            tuple(entry(i, j, bits[i * k + j], v) for j in range(k)) for i in range(k))))
+    stint = st.integers(1, k * k) | st.integers(k * k + 1, k * k + 40)
+    schedule = Schedule.from_stints(draw(st.lists(stint, min_size=1, max_size=5)))
+    lengths = draw(st.lists(st.integers(1, schedule.horizon), min_size=1, max_size=10, unique=True))
+    return CombinedSystem(tuple(graphs), schedule), sorted(lengths)
 
 
 def reference_walk_totals(system, n_max):
@@ -383,6 +414,61 @@ class TestCombinedCounts:
         system = CombinedSystem((golden_graph(), golden_graph()), quartic_schedule(2))
         for n in (1, 5, 16, 40, 81):
             assert total_count(system, n) == total_count(golden_graph(), n)
+
+
+class TestRecurrenceRuns:
+    """A run of more than k**2 consecutive lengths in one stint goes by the
+    graph's characteristic recurrence, shorter runs and sparse lengths by steps."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=recurrence_cases())
+    # one letter with a loop: chi = x - 1, every count 1
+    @example(case=(CombinedSystem((graph_from_edges("x", [("x", "x")]),),
+                                  Schedule.from_stints([6, 1, 4])), [1, 3, 11]))
+    # one letter without: chi = x, no nonzero lag, every count past length 1 is 0
+    @example(case=(CombinedSystem((graph_from_edges("x", []),),
+                                  Schedule.from_stints([6, 2])), [1, 2, 7]))
+    def test_counts_match_the_vector_walk(self, case):
+        system, lengths = case
+        horizon = system.schedule.horizon
+        walked = reference_walk_totals(system, horizon)
+        assert combined_count_series(system, horizon) == walked
+        counts = dict(walked)
+        assert list(_totals(system, lengths)) == [counts[n] for n in lengths]
+        for n in lengths:
+            assert total_count(system, n) == counts[n]
+
+    def test_paper_system_steps_per_stint_not_per_length(self, monkeypatch):
+        # to n = 3000 the walk steps every length of a stint with at most
+        # k**2 = 9 steps, k - 1 = 2 times in a longer one, and powers past it
+        steps = []
+
+        def counted(pred, vec):
+            steps.append(pred)
+            return intmat._step(pred, vec)
+
+        monkeypatch.setattr(census, "_step", counted)
+        system = golden_linear_system(7)
+        g = system.schedule.g
+        runs = [min(b, 3000) - max(a, 1) for a, b in zip(g, g[1:]) if a < 3000]
+        assert sum(runs) == 2999 and len(runs) == 14
+        series = combined_count_series(system, 3000)
+        assert len(steps) == sum(r if r <= 9 else 2 for r in runs) == 44
+        assert series[-1] == (3000, total_count(system, 3000))
+        # one polynomial per graph, though the schedule returns to each seven times
+        assert intmat._berkowitz.cache_info().misses == 2
+
+    def test_short_runs_compute_no_polynomial(self):
+        # 29 steps at k = 64 stay below k**2: no Berkowitz run
+        rng = random.Random(64)
+        k = 64
+        adj = tuple(tuple(int(rng.random() < 0.1) for _ in range(k)) for _ in range(k))
+        graph = DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(k))), adj)
+        before = intmat._berkowitz.cache_info().misses
+        series = combined_count_series(graph, 30)
+        assert intmat._berkowitz.cache_info().misses == before
+        system = CombinedSystem((graph,), Schedule.from_stints([30]))
+        assert series == reference_walk_totals(system, 30)
 
 
 class TestCombinedEnumeration:
