@@ -216,14 +216,10 @@ def _totals(source: DirectedGraph | CombinedSystem, lengths: Sequence[int]) -> I
     for graph, last in source._stints(lengths[-1]):
         pred = graph._pred
         b = end if lengths[-1] <= last else bisect_right(lengths, last, i)
-        if lengths[b - 1] - j != b - i:  # sparse lengths: a step or a power per gap
+        if lengths[b - 1] - j != b - i or b - i <= k * k:  # sparse or short: step or power per gap
             for n in lengths[i:b]:
                 vec = _step(pred, vec) if n == j + 1 else vec_pow(vec, graph.adjacency, n - j)
                 j = n
-                yield sum(vec)
-        elif b - i <= k * k:  # a short run j+1, j+2, ...: a plain loop, no test per step
-            for j in range(j + 1, lengths[b - 1] + 1):
-                vec = _step(pred, vec)
                 yield sum(vec)
         else:  # a long run by the recurrence; vec and j stay at its start
             t, w = [sum(vec)], vec

@@ -201,40 +201,33 @@ def graph_to_json(graph: DirectedGraph) -> str:
 def strongly_connected_components(graph: DirectedGraph) -> tuple[tuple[int, ...], ...]:
     """Vertex sets of the strongly connected components, successors first.
 
-    Reachability is closed transitively over vertex bitmasks (Warshall);
-    a component is the set of vertices that reach one vertex and are
-    reached from it.  If component A reaches component B, what A reaches
-    strictly contains what B reaches, so ordering by the size of that set
-    puts every component after all the components it reaches.
+    From each vertex not yet placed, one flood fill runs along the arrows
+    and one against them; the vertices both reach are its component.  If
+    component A reaches component B, what A reaches strictly contains
+    what B reaches, so ordering by the size of the forward fill puts
+    every component after all the components it reaches.
     """
-    return _components(graph._succ)
+    return _components(graph._succ, graph._pred)
 
 
 @lru_cache(maxsize=128)
-def _components(succ: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    # keyed by the successor lists, so char_poly and classify_growth on one
-    # graph share one run
-    k = len(succ)
-    reach = [1 << v | sum(1 << j for j in s) for v, s in enumerate(succ)]
-    for m in range(k):
-        bit = 1 << m
-        for i in range(k):
-            if reach[i] & bit:
-                reach[i] |= reach[m]
-    found = []
-    seen = 0
+def _components(succ: tuple, pred: tuple) -> tuple[tuple[int, ...], ...]:
+    # keyed by the successor and predecessor lists, so char_poly and
+    # classify_growth on one graph share one run
+    found, seen, k = [], 0, len(succ)
     for v in range(k):
         if not seen >> v & 1:
-            comp = tuple(u for u in range(k) if reach[v] >> u & 1 and reach[u] >> v & 1)
-            seen |= sum(1 << u for u in comp)
-            found.append((reach[v].bit_count(), comp))
+            ahead = _reach(succ, v)
+            comp = ahead & _reach(pred, v)
+            seen |= comp
+            found.append((ahead.bit_count(), tuple(u for u in range(k) if comp >> u & 1)))
     found.sort()
     return tuple(comp for _, comp in found)
 
 
-def _reach(lists: tuple[tuple[int, ...], ...]) -> int:
-    """Bitmask of the vertices reached from vertex 0, where vertex i leads to lists[i]."""
-    seen, stack = 1, [0]
+def _reach(lists: tuple[tuple[int, ...], ...], v: int = 0) -> int:
+    """Bitmask of the vertices reached from vertex v, where vertex i leads to lists[i]."""
+    seen, stack = 1 << v, [v]
     while stack:
         for j in lists[stack.pop()]:
             if not seen >> j & 1:
@@ -243,26 +236,21 @@ def _reach(lists: tuple[tuple[int, ...], ...]) -> int:
     return seen
 
 
-def _strongly_connected(graph: DirectedGraph) -> bool:
-    """Vertex 0 reaches every vertex along the arrows and against them: one component."""
-    full = (1 << graph.k) - 1
-    return _reach(graph._succ) == full == _reach(graph._pred)
-
-
 def validate(graph: DirectedGraph) -> GraphDiagnostics:
     """Pure structural report; callers decide what to reject.
 
-    Weak connectivity is a flood fill from vertex 0 on the undirected
-    shadow (an isolated vertex disconnects); strong connectivity is the
-    same fill along the arrows and against them, each of which must reach
-    every vertex.  Absorbing states are vertices with no outgoing edge
-    besides a possible self-loop.
+    Strong connectivity is one component: the flood fills from vertex 0
+    along the arrows and (if that one does) against them reach every
+    vertex.  Weak connectivity is the same fill on the undirected shadow
+    (an isolated vertex disconnects).  Absorbing states are vertices
+    with no outgoing edge besides a possible self-loop.
     """
-    strongly = _strongly_connected(graph)
+    full = (1 << graph.k) - 1
+    strongly = _reach(graph._succ) == full == _reach(graph._pred)
     # undirected neighbours; an empty list is an isolated vertex.  What
     # vertex 0 reaches along the arrows it reaches in the shadow too.
     nbrs = [s + p for s, p in zip(graph._succ, graph._pred)]
-    weakly = all(nbrs) and (strongly or _reach(nbrs) == (1 << graph.k) - 1)
+    weakly = all(nbrs) and (strongly or _reach(nbrs) == full)
     absorbing = tuple(
         sym
         for i, (sym, s) in enumerate(zip(graph.alphabet.symbols, graph._succ))

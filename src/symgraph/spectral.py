@@ -46,8 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Alphabet, DirectedGraph, strongly_connected_components
-from .graphs import _graph_from_rows, _strongly_connected
+from .graphs import Alphabet, DirectedGraph, _graph_from_rows, strongly_connected_components
 from .census import _totals
 from .intmat import _berkowitz, _step
 
@@ -580,9 +579,10 @@ def classify_growth(source: DirectedGraph | ClosedForm) -> GrowthClass:
 @lru_cache(maxsize=None)
 def _class_of(k: int, least: int) -> tuple[GrowthClass, bool]:
     """The growth class of the graphs on k letters whose least relabeled bitmask
-    is least, and whether they are strongly connected."""
+    is least, and whether they are strongly connected: whether the split into
+    components that classifying has just memoized has one part."""
     graph = graph_from_bitmask(k, least)
-    return _classify_graph(graph), _strongly_connected(graph)
+    return _classify_graph(graph), len(strongly_connected_components(graph)) == 1
 
 
 @lru_cache(maxsize=None)
@@ -762,9 +762,9 @@ def conjecture_scan(k_max: int) -> ScanReport:
     Growth and strong connectivity (weak connectivity is already proved)
     do not change under relabeling, so both are read once per isomorphism
     class, which each row indexes, from the class memo (`_class_of`) of
-    `classify_growth`.  It finds strong connectivity on the canonical
-    graph by the reachability test `validate` uses, so a second scan
-    builds no graph.
+    `classify_growth`.  It reads strong connectivity off the canonical
+    graph's components, which classifying it has just found, so a second
+    scan builds no graph and splits none.
     """
     if not 1 <= k_max <= 4:
         raise ValueError("k_max must be between 1 and 4")

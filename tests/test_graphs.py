@@ -72,13 +72,36 @@ def graph_of(adj):
     return DirectedGraph(Alphabet(tuple(f"v{i}" for i in range(len(adj)))), adj)
 
 
+def union_reach(adj):
+    """Oracle: the vertices each vertex reaches, closed by repeated unions of successor sets."""
+    k = len(adj)
+    reach = [{i} | set(compress(range(k), row)) for i, row in enumerate(adj)]
+    while True:
+        closed = [set().union(*(reach[j] for j in r)) for r in reach]
+        if closed == reach:
+            return reach
+        reach = closed
+
+
+def union_components(adj):
+    """Oracle: the mutually reaching vertex sets, by (reach size, vertex tuple)."""
+    reach = union_reach(adj)
+    size = {tuple(u for u in sorted(reach[v]) if v in reach[u]): len(reach[v]) for v in range(len(adj))}
+    return tuple(sorted(size, key=lambda comp: (size[comp], comp)))
+
+
 @st.composite
-def adjacencies(draw, k_max=8):
-    """0/1 matrices with k <= k_max, from edgeless to half the cells filled."""
+def adjacencies(draw, k_max=8, shaped=False):
+    """0/1 matrices with k <= k_max, from edgeless to half the cells filled;
+    shaped ones are unrestricted, upper- or lower-triangular, a third each."""
     k = draw(st.integers(1, k_max))
     density = draw(st.floats(0, 0.5))
     cells = draw(st.lists(st.floats(0, 1), min_size=k * k, max_size=k * k))
-    return tuple(tuple(int(u < density) for u in cells[i * k:(i + 1) * k]) for i in range(k))
+    tri = draw(st.sampled_from((0, 1, -1))) if shaped else 0  # 1 keeps j >= i, -1 keeps j <= i
+    return tuple(
+        tuple(int(u < density and (j - i) * tri >= 0) for j, u in enumerate(cells[i * k:(i + 1) * k]))
+        for i in range(k)
+    )
 
 
 def naive_matmul(a, b):
@@ -266,13 +289,10 @@ class TestComponents:
         assert strongly_connected_components(golden_graph()) == ((1,), (0, 2))
 
     def test_mutual_reachability_and_order_k_le_3(self):
-        # oracle: reachability closed by repeated unions of successor sets
         for k in (1, 2, 3):
             for mask in iter_connected_bitmasks(k):
                 g = graph_from_bitmask(k, mask)
-                reach = [{i} | set(g.successors(i)) for i in range(k)]
-                for _ in range(k):
-                    reach = [set().union(*(reach[j] for j in r)) for r in reach]
+                reach = union_reach(g.adjacency)
                 comps = strongly_connected_components(g)
                 index = {v: c for c, comp in enumerate(comps) for v in comp}
                 assert sorted(index) == list(range(k))
@@ -283,6 +303,16 @@ class TestComponents:
                         assert mutual == (index[u] == index[v])
                         if v in reach[u] and not mutual:
                             assert index[v] < index[u]  # successors first
+
+    @settings(max_examples=200, deadline=None)
+    @given(adj=adjacencies(k_max=24, shaped=True))
+    @example(adj=tuple(tuple(int(i < j) for j in range(64)) for i in range(64)))  # dense DAG
+    @example(adj=tuple(tuple(int(j in (i, i + 1)) for j in range(12)) for i in range(12)))  # chain of loops
+    @example(adj=((0,),))
+    @example(adj=((1,),))
+    @example(adj=((0, 0, 0), (0, 0, 1), (0, 1, 0)))  # a 2-cycle and an isolated vertex 0
+    def test_components_match_union_oracle(self, adj):
+        assert strongly_connected_components(graph_of(adj)) == union_components(adj)
 
 
 class TestHigherOrder:

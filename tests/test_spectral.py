@@ -1028,7 +1028,7 @@ class TestScan:
             g = graph_from_bitmask(row.k, mask)
             growth = spectral._classify_graph(g)
             assert (row.strongly_connected, row.kind, row.rho, row.poly_degree) == (
-                graphs._strongly_connected(g), growth.kind, growth.rho, growth.poly_degree
+                graphs.validate(g).strongly_connected, growth.kind, growth.rho, growth.poly_degree
             )
 
     def test_scan_builds_each_class_graph_once(self, monkeypatch):
