@@ -205,7 +205,8 @@ def _totals(source: DirectedGraph | CombinedSystem, lengths: Sequence[int]) -> I
     takes k - 1 steps from its start v, then t_m = v A^m 1 for m >= k by
     chi(x) = x^k + c_1 x^(k-1) + ... + c_k, summed over the nonzero c_i:
     t_m = -(c_1 t_(m-1) + ... + c_k t_(m-k)), as v A^(m-k) chi(A) 1 = 0;
-    one power passes the run unless the walk ends there.  An uncached
+    one power passes the run unless the walk ends there.  A run keeps only
+    its last k counts and yields each as it is computed.  An uncached
     Berkowitz run costs 20 / 65 / 140 / 430 / 1,510 steps at k = 3 / 8 /
     16 / 32 / 64, at most the k**2 it replaces from k = 8 on, once per graph.
     """
@@ -222,18 +223,19 @@ def _totals(source: DirectedGraph | CombinedSystem, lengths: Sequence[int]) -> I
                 j = n
                 yield sum(vec)
         else:  # a long run by the recurrence; vec and j stay at its start
-            t, w = [sum(vec)], vec
+            t, w = deque([sum(vec)], maxlen=k), vec  # t_(m-k) .. t_(m-1)
             for _ in range(1, k):
                 w = _step(pred, w)
                 t.append(sum(w))
+                yield t[-1]
             chi = _berkowitz(graph._succ)  # x^k has no nonzero lag: then every count is 0
             (first, c1), *rest = [(lag, -c) for lag, c in enumerate(chi) if lag and c] or [(1, 0)]
-            for m in range(k, b - i + 1):
-                s = c1 * t[m - first]  # not 0 + ...: that copies a big int
+            for _ in range(k, b - i + 1):
+                s = c1 * t[-first]  # not 0 + ...: that copies a big int
                 for lag, c in rest:
-                    s += c * t[m - lag]
+                    s += c * t[-lag]
                 t.append(s)
-            yield from t[1:]
+                yield s
         if b == end:
             return
         vec = _step(pred, vec) if last == j + 1 else vec_pow(vec, graph.adjacency, last - j)

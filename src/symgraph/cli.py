@@ -16,6 +16,12 @@ Every run writes a manifest plus per-command data tables to --out, as CSV
 configuration; only the manifest carries a timestamp.  Exact counts are
 always emitted as decimal strings, never as floats.  A failed fit still
 writes entropy-fit's series; the manifest names the failed stage and error.
+
+Tables stream to their files a chunk at a time, combine's counts straight
+from the count walk, JSON through the C encoder.  Inputs are checked before
+the first file opens; an error while a table streams (the int-to-str digit
+guard, memory) deletes its file and ends the run, and the manifest, written
+last, names it as the failed stage.
 """
 
 from __future__ import annotations
@@ -27,13 +33,16 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .census import (
     DEFAULT_ENUM_CAP,
     ENUM_CAP_ENV,
     EnumerationCapError,
+    _totals,
     count_series,
     enumeration_cap,
     format_word,
@@ -74,21 +83,69 @@ EXIT_ERROR = 1
 EXIT_STRICT_BOUND = 3
 
 
+# what a run reports in one line: bad inputs, caps, the digit guard, memory
+_RUN_ERRORS = (ValueError, EnumerationCapError, ScheduleExhaustedError, MemoryError)
+# about how many characters of a table one write takes
+CHUNK_CHARS = 1 << 16
+
+
+def _error_message(exc: BaseException, command: str) -> str:
+    if isinstance(exc, MemoryError):  # exact counts have no size budget, so a huge n can exhaust memory
+        return f"out of memory in {command}; try a smaller --n-max or --t-max"
+    return str(exc)
+
+
+def _chunks(rows: Iterable[Sequence[str]], encode: Callable[[list], str]) -> Iterator[str]:
+    """encode() of each chunk of consecutive rows.  The first chunk is one row; each
+    next one takes as many rows as would fill CHUNK_CHARS characters at the last
+    one's characters per row, at most twice as many.  No Python runs per row."""
+    rows, n = iter(rows), 1
+    while chunk := list(islice(rows, n)):
+        text = encode(chunk)
+        yield text
+        n = min(2 * n, max(1, n * CHUNK_CHARS // len(text)))
+
+
+def _json_rows(chunk: list[Sequence[str]]) -> str:
+    """The rows of a chunk as json.dumps(indent=2) lays them out inside "rows".
+
+    The C encoder writes them compactly with NUL separators.  NUL is escaped
+    inside strings, so a raw NUL separates two rows (]\0[) or two cells, and
+    a raw newline is always layout: a row with no cell closes up to "[]".
+    """
+    text = json.dumps(chunk, separators=("\0", ":"))[2:-2]
+    text = text.replace("]\0[", "\n    ],\n    [\n      ").replace("\0", ",\n      ")
+    text = "    [\n      " + text + "\n    ]"
+    return text if all(chunk) else text.replace("[\n      \n    ]", "[]")
+
+
 @dataclass
 class Table:
+    """A named data table; rows is any iterable of string rows, read once."""
+
     name: str
     columns: list[str]
-    rows: list[list[str]]
+    rows: Iterable[Sequence[str]]
+
+    def text(self, fmt: str) -> Iterator[str]:
+        """The table in pieces of about CHUNK_CHARS characters: CSV lines, or
+        json.dumps(indent=2, sort_keys=True) of {"columns", "rows"}."""
+        if fmt == "csv":
+            yield ",".join(self.columns) + "\n"
+            yield from _chunks(self.rows, lambda chunk: "\n".join(map(",".join, chunk)) + "\n")
+            return
+        head = json.dumps({"columns": self.columns, "rows": []}, indent=2, sort_keys=True)
+        sep = head[:-4] + "[\n"  # head ends in the empty rows' "[]\n}"
+        for text in _chunks(self.rows, _json_rows):
+            yield sep + text
+            sep = ",\n"
+        yield "\n  ]\n}\n" if sep == ",\n" else head + "\n"
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        lines += [",".join(row) for row in self.rows]
-        return "\n".join(lines) + "\n"
+        return "".join(self.text("csv"))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"columns": self.columns, "rows": self.rows}, indent=2, sort_keys=True
-        ) + "\n"
+        return "".join(self.text("json"))
 
 
 @dataclass
@@ -98,21 +155,29 @@ class ExperimentOutput:
     texts: dict[str, str] = field(default_factory=dict)
 
     def write(self, out_dir: str | Path, fmt: str) -> list[Path]:
+        """Write each table, then the texts, then the manifest.  An error raised
+        while a table's rows stream deletes its file, is recorded in the manifest
+        as failed_stage and error, and ends the writing."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        written = []
-        manifest_path = out / "manifest.json"
-        manifest_path.write_text(json.dumps(self.manifest, indent=2, sort_keys=True) + "\n")
-        written.append(manifest_path)
+        written = [out / "manifest.json"]
         for table in self.tables:
-            suffix = "csv" if fmt == "csv" else "json"
-            path = out / f"{table.name}.{suffix}"
-            path.write_text(table.to_csv() if fmt == "csv" else table.to_json())
+            path = out / f"{table.name}.{fmt}"
+            try:
+                with path.open("w") as f:
+                    f.writelines(table.text(fmt))
+            except _RUN_ERRORS as exc:
+                path.unlink()
+                self.manifest.update(failed_stage=table.name,
+                                     error=_error_message(exc, self.manifest["command"]))
+                break
             written.append(path)
-        for name, content in self.texts.items():
-            path = out / name
-            path.write_text(content)
-            written.append(path)
+        else:
+            for name, content in self.texts.items():
+                path = out / name
+                path.write_text(content)
+                written.append(path)
+        written[0].write_text(json.dumps(self.manifest, indent=2, sort_keys=True) + "\n")
         return written
 
 
@@ -192,7 +257,7 @@ def _entropy_table(name: str, series: EntropySeries) -> Table:
     return Table(
         name,
         ["n", "count", "H", "h_top"],
-        [[str(p.n), str(p.count), _fmt_float(p.H), _fmt_float(p.h_top)] for p in series.points],
+        ((str(p.n), str(p.count), _fmt_float(p.H), _fmt_float(p.h_top)) for p in series.points),
     )
 
 
@@ -252,8 +317,7 @@ def cmd_analyze(args: argparse.Namespace) -> ExperimentOutput:
     out.tables.append(Table(
         "analyze_counts",
         ["n", "omega_total"] + [f"omega_row_{s}" for s in syms] + [f"omega_col_{s}" for s in syms],
-        [[str(r.n), str(r.total)] + [str(v) for v in r.row_sums] + [str(v) for v in r.col_sums]
-         for r in series.rows],
+        ([str(r.n), str(r.total), *map(str, r.row_sums), *map(str, r.col_sums)] for r in series.rows),
     ))
 
     out.tables.append(_entropy_table("analyze_entropy", ent))
@@ -271,10 +335,9 @@ def cmd_analyze(args: argparse.Namespace) -> ExperimentOutput:
         for r in series.rows:  # each level's exact size: fail before building a word
             if r.total > cap:
                 raise EnumerationCapError(r.n, r.total, cap)
-        rows = []
-        for ws in iter_word_sets(graph, args.n_max, cap=cap):
-            rows += [[str(ws.length), w] for w in ws.strings()]
-        out.tables.append(Table("analyze_words", ["n", "word"], rows))
+        words = ((str(ws.length), w) for ws in iter_word_sets(graph, args.n_max, cap=cap)
+                 for w in ws.strings())  # one level's strings at a time
+        out.tables.append(Table("analyze_words", ["n", "word"], words))
     return out
 
 
@@ -287,9 +350,12 @@ def cmd_combine(args: argparse.Namespace) -> ExperimentOutput:
     system = CombinedSystem(graphs, schedule)
     out = ExperimentOutput(_manifest(args))
 
-    counts = combined_count_series(system, args.n_max)
+    if args.n_max < 1:  # the counts stream to their file, so n_max and the horizon are checked first
+        raise ValueError("n_max must be >= 1")
+    schedule.stint_index(args.n_max)
+    lengths = range(1, args.n_max + 1)
     out.tables.append(Table(
-        "combine_counts", ["n", "count"], [[str(n), str(c)] for n, c in counts]
+        "combine_counts", ["n", "count"], zip(map(str, lengths), map(str, _totals(system, lengths)))
     ))
 
     preset = match_preset(system)
@@ -422,12 +488,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         output = args.func(args)
-    except (GraphSpecError, EnumerationCapError, ScheduleExhaustedError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except MemoryError:  # exact counts have no size budget, so a huge n can exhaust memory
-        print(f"error: out of memory in {args.command}; try a smaller --n-max or --t-max",
-              file=sys.stderr)
+    except _RUN_ERRORS as exc:
+        print(f"error: {_error_message(exc, args.command)}", file=sys.stderr)
         return EXIT_ERROR
     try:
         paths = output.write(args.out, args.format)

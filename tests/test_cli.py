@@ -1,10 +1,16 @@
 import argparse
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from symgraph import (
     Alphabet,
@@ -18,7 +24,7 @@ from symgraph import (
 )
 from symgraph import cli
 from symgraph.census import ENUM_CAP_ENV
-from symgraph.cli import build_parser, main
+from symgraph.cli import Table, build_parser, main
 
 from conftest import clear_memos
 
@@ -678,3 +684,154 @@ class TestParser:
         assert parser.parse_args(["entropy-fit"]).t_max == 12
         assert parser.parse_args(["paper-examples"]).t_max == 0
         assert parser.parse_args(["combine", "--t-max", "9"]).t_max == 9
+
+
+def _whole_table(columns, rows, fmt):
+    """A table's text as one join (CSV) or one json.dumps (JSON), the reference for `Table.text`."""
+    if fmt == "csv":
+        return "\n".join([",".join(columns)] + [",".join(row) for row in rows]) + "\n"
+    return json.dumps({"columns": columns, "rows": rows}, indent=2, sort_keys=True) + "\n"
+
+
+# cells with the characters the JSON layout turns on, control characters and non-ASCII text
+_CELLS = st.text(st.one_of(st.sampled_from('\0\x01[]"\\,\n'), st.characters()), max_size=5)
+
+
+class TestStreamedTables:
+    # the first chunk is one row and each next one at most twice the last,
+    # so with a large CHUNK_CHARS chunks end after rows 1, 3 and 7
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunk_chars", [1, 1 << 16])
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 4, 6, 7, 8])
+    @pytest.mark.parametrize("empty_every", [0, 2])
+    def test_chunk_boundaries(self, fmt, chunk_chars, n_rows, empty_every):
+        rows = [[] if empty_every and i % empty_every == 0 else [str(i), "x]\0["] for i in range(n_rows)]
+        with mock.patch.object(cli, "CHUNK_CHARS", chunk_chars):
+            text = "".join(Table("t", ["n", "cell"], iter(rows)).text(fmt))
+        assert text == _whole_table(["n", "cell"], rows, fmt)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        columns=st.lists(_CELLS, max_size=3),
+        rows=st.lists(st.lists(_CELLS, max_size=4), max_size=12),
+        chunk_chars=st.sampled_from([1, 2, 7, 40, 1 << 16]),
+        fmt=st.sampled_from(["csv", "json"]),
+    )
+    @example(columns=[], rows=[], chunk_chars=1, fmt="json")
+    @example(columns=[], rows=[[], []], chunk_chars=1 << 16, fmt="json")
+    @example(columns=["a"], rows=[["[]"], [], ["\0"], ["]\0["]], chunk_chars=2, fmt="json")
+    @example(columns=["\u00e9"], rows=[["\x01\u2028", "\\\""], ["\U0001f600"]], chunk_chars=1, fmt="json")
+    def test_streamed_bytes_match_whole_table(self, columns, rows, chunk_chars, fmt):
+        with mock.patch.object(cli, "CHUNK_CHARS", chunk_chars):
+            text = "".join(Table("t", columns, (tuple(row) for row in rows)).text(fmt))
+        assert text == _whole_table(columns, rows, fmt)
+        assert Table("t", columns, rows).to_json() == _whole_table(columns, rows, "json")
+
+    def test_mid_stream_memory_error(self, tmp_path, graph_files, monkeypatch, capsys):
+        def exhausted(source, lengths):
+            yield from (2, 3)
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_totals", exhausted)
+        out = tmp_path / "o"
+        assert main([
+            "combine", "--graph", graph_files["golden"], "--schedule", "paper", "--n-max", "9",
+            "--out", str(out),
+        ]) == 1
+        message = "out of memory in combine; try a smaller --n-max or --t-max"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["failed_stage"], manifest["error"]) == ("combine_counts", message)
+
+    @pytest.mark.parametrize("schedule, n_max, message", [
+        ("paper", "0", "n_max must be >= 1"),
+        ({"s": [2, 2]}, "30", "length 30 beyond schedule horizon 4"),
+    ])
+    def test_inputs_checked_before_any_file(self, tmp_path, graph_files, capsys, schedule, n_max, message):
+        if schedule != "paper":
+            (tmp_path / "sched.json").write_text(json.dumps(schedule))
+            schedule = str(tmp_path / "sched.json")
+        out = tmp_path / "o"
+        assert main([
+            "combine", "--graph", graph_files["golden"], "--graph", graph_files["linear"],
+            "--schedule", schedule, "--n-max", n_max, "--out", str(out),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+# ru_maxrss survives exec, so a child would report at least the test process's
+# peak; VmHWM is the peak of the child's own image
+_CHILD = """
+import sys
+from symgraph.cli import main
+code = main(sys.argv[1:])
+hwm = next(line for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(code, int(hwm.split()[1]) // 1024)
+"""
+
+
+@pytest.fixture(scope="module")
+def streamed_runs(tmp_path_factory):
+    """Three large runs, each in its own child process at once: per run the exit
+    status, its stderr, its own peak RSS in MiB and its output directory."""
+    root = tmp_path_factory.mktemp("streamed")
+    files = {}
+    for g in (golden_graph(), linear_graph()):
+        files[g.name] = root / f"{g.name}.json"
+        files[g.name].write_text(graph_to_json(g))
+    runs = {
+        "golden_linear": ["combine", "--graph", files["golden"], "--graph", files["linear"],
+                          "--schedule", "paper", "--n-max", "200000", "--t-max", "6"],
+        "golden_golden": ["combine", "--graph", files["golden"], "--graph", files["golden"],
+                          "--schedule", "paper", "--n-max", "100000", "--t-max", "1"],
+        "enumerate": ["analyze", "--graph", files["golden"], "--n-max", "24", "--enumerate"],
+    }
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    children = {
+        name: subprocess.Popen(
+            [sys.executable, "-c", _CHILD, *map(str, argv), "--out", str(root / name)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for name, argv in runs.items()
+    }
+    results = {}
+    for name, child in children.items():
+        stdout, stderr = child.communicate(timeout=120)
+        code, rss = map(int, stdout.split("\n")[-2].split())
+        results[name] = (code, stderr, rss, root / name)
+    return results
+
+
+class TestStreamedRuns:
+    """Peak RSS (VmHWM) before streaming: 139 / 530 / 334 MiB; streamed 31 / 30 / 75 MiB."""
+
+    def test_combine_counts_in_bounded_memory(self, streamed_runs):
+        code, stderr, rss, out = streamed_runs["golden_linear"]
+        assert (code, stderr) == (0, "")
+        assert rss < 64
+        assert sha256_tables(out, ["combine_counts", "combine_bounds"]) == {
+            "combine_counts": "f65b3fd606f3d69feec148c17df5a9d91b56e536e12918876c2eb27bf77c85b9",
+            "combine_bounds": TestCombine.PINNED["combine_bounds"],
+        }
+
+    def test_digit_guard_mid_stream(self, streamed_runs):
+        # golden's count passes 4,300 digits near n = 20,600, long after the file opened
+        code, stderr, rss, out = streamed_runs["golden_golden"]
+        assert code == 1
+        assert stderr.startswith("error: Exceeds the limit (4300 digits)") and stderr.count("\n") == 1
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "combine_counts"
+        assert manifest["error"] == stderr[len("error: "):-1]
+        assert rss < 64
+
+    def test_words_one_level_at_a_time(self, streamed_runs):
+        code, stderr, rss, out = streamed_runs["enumerate"]
+        assert (code, stderr) == (0, "")
+        assert rss < 160
+        assert sha256_tables(out, ["analyze_words", "analyze_counts"]) == {
+            "analyze_words": "c1d4839ee2e61981d259bbbe9261ef592cd0040832edb4c1e060ff2a717a9798",
+            "analyze_counts": "c193b21ea2605cf12672642756778a8c5aaa09e9d3330977e67c361f7bbe89f4",
+        }
