@@ -11,6 +11,9 @@ graph's characteristic recurrence along more than k**2 consecutive lengths.
 `count_series` steps the column sums (predecessor lists) and the row
 sums (successor lists) together, one `_step` each per length.
 `count_matrix` forms each row e_i^T M**(n-1) from the same squares.
+Counts are ints; asked for `Decimal`, a recurrence run goes on in `Decimal`
+past 2**512, in the exact context `EXACT`, so the long counts `combine`
+prints cost linear time to add and print, not int's quadratic `str()`.
 Enumeration realizes the same census independently, by iterating the
 1-letter extension map on the set of all words, starting from the
 alphabet itself.  The routes are checked against each other in the test
@@ -37,7 +40,9 @@ one binary search; words decode 2**14 codes at a time by digit extraction.
 
 from __future__ import annotations
 
+import decimal
 import os
+import sys
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -53,6 +58,14 @@ if TYPE_CHECKING:
 
 DEFAULT_ENUM_CAP = 10_000_000
 ENUM_CAP_ENV = "SYMGRAPH_ENUM_CAP"
+
+# a count's 3-term recurrence step and str(), int then Decimal: 0.52 / 0.79 us at 200 bits,
+# 0.82 / 1.01 at 512, 3.4 / 1.9 at 1,500 and 12.7 / 3.2 at 3,000 (int's str() is quadratic);
+# they cross near 740 bits, but 2**512, 2**704 and 2**768 time alike end to end
+DECIMAL_FROM = 1 << 512
+# the one context a Decimal count is computed in: any rounding raises
+EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
 
 Word = tuple[int, ...]
 # (graph performing the extensions, last length it extends to); stints ascend
@@ -194,7 +207,7 @@ def total_count(source: DirectedGraph | CombinedSystem, n: int) -> int:
     return next(_totals(source, (n,)))
 
 
-def _totals(source: DirectedGraph | CombinedSystem, lengths: Sequence[int]) -> Iterator[int]:
+def _totals(source: DirectedGraph | CombinedSystem, lengths: Sequence[int], num: type = int) -> Iterator:
     """Yield the number of length-n words at each n of the non-empty ascending lengths.
 
     One walk steps the row vector v = 1^T A_2 ... A_n, whose entry u
@@ -209,6 +222,14 @@ def _totals(source: DirectedGraph | CombinedSystem, lengths: Sequence[int]) -> I
     its last k counts and yields each as it is computed.  An uncached
     Berkowitz run costs 20 / 65 / 140 / 430 / 1,510 steps at k = 3 / 8 /
     16 / 32 / 64, at most the k**2 it replaces from k = 8 on, once per graph.
+
+    Asked for num = `decimal.Decimal`, a run turns its last k counts and
+    coefficients to Decimal once a count passes DECIMAL_FROM, and yields
+    Decimal from the next count on; until then it pays one int comparison a
+    count.  It needs EXACT as the current context (else it raises first), and
+    a count past `sys.get_int_max_str_digits()` digits raises the ValueError
+    str() of the int would.  Such a run never reaches 0 (a run that does is 0
+    from its kth count on), so no count is -0.
     """
     k, vec, j, i, end = source.k, [1] * source.k, 1, 0, len(lengths)
     if lengths[0] == 1:
@@ -223,7 +244,7 @@ def _totals(source: DirectedGraph | CombinedSystem, lengths: Sequence[int]) -> I
                 j = n
                 yield sum(vec)
         else:  # a long run by the recurrence; vec and j stay at its start
-            t, w = deque([sum(vec)], maxlen=k), vec  # t_(m-k) .. t_(m-1)
+            t, w, top = deque([sum(vec)], maxlen=k), vec, DECIMAL_FROM  # t_(m-k) .. t_(m-1)
             for _ in range(1, k):
                 w = _step(pred, w)
                 t.append(sum(w))
@@ -235,11 +256,27 @@ def _totals(source: DirectedGraph | CombinedSystem, lengths: Sequence[int]) -> I
                 for lag, c in rest:
                     s += c * t[-lag]
                 t.append(s)
+                if s > top:  # once a run past 2**512, then for Decimal at the digit guard
+                    c1, rest, t, top = _past_top(num, s, c1, rest, t)
                 yield s
         if b == end:
             return
         vec = _step(pred, vec) if last == j + 1 else vec_pow(vec, graph.adjacency, last - j)
         j, i = last, b
+
+
+def _past_top(num: type, s, c1, rest, t: deque) -> tuple:
+    """A run's coefficients, window and top once its count s passes top: as
+    they were and no top for int, else in Decimal up to the digit guard."""
+    if num is int:
+        return c1, rest, t, float("inf")
+    if s.__class__ is num:
+        str(int(s))  # past the guard: CPython's own ValueError
+    ctx = decimal.getcontext()
+    if (ctx.prec, ctx.traps[decimal.Inexact], ctx.traps[decimal.Rounded]) != (decimal.MAX_PREC, True, True):
+        raise RuntimeError("Decimal counts need census.EXACT as the current decimal context")
+    return (num(c1), [(lag, num(c)) for lag, c in rest], deque(map(num, t), t.maxlen),
+            num("9" * sys.get_int_max_str_digits() or "Infinity"))  # the largest count str() takes
 
 
 def count_series(graph: DirectedGraph, n_max: int) -> CountSeries:

@@ -18,16 +18,18 @@ always emitted as decimal strings, never as floats.  A failed fit still
 writes entropy-fit's series; the manifest names the failed stage and error.
 
 Tables stream to their files a chunk at a time, combine's counts straight
-from the count walk, JSON through the C encoder.  Inputs are checked before
-the first file opens; an error while a table streams (the int-to-str digit
-guard, memory) deletes its file and ends the run, and the manifest, written
-last, names it as the failed stage.
+from the count walk (in `Decimal` past 2**512, where int's `str()` is slow),
+JSON through the C encoder.  Inputs are checked before the first file opens;
+an error while a table streams (the int-to-str digit guard, memory) deletes
+its file and ends the run, and the manifest, written last, names it as the
+failed stage.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import decimal
 import functools
 import json
 import math
@@ -41,6 +43,7 @@ from . import __version__
 from .census import (
     DEFAULT_ENUM_CAP,
     ENUM_CAP_ENV,
+    EXACT,
     EnumerationCapError,
     _totals,
     count_series,
@@ -155,28 +158,30 @@ class ExperimentOutput:
     texts: dict[str, str] = field(default_factory=dict)
 
     def write(self, out_dir: str | Path, fmt: str) -> list[Path]:
-        """Write each table, then the texts, then the manifest.  An error raised
-        while a table's rows stream deletes its file, is recorded in the manifest
-        as failed_stage and error, and ends the writing."""
+        """Write each table, then the texts, then the manifest, the files in the
+        decimal context census.EXACT.  An error raised while a table's rows stream
+        deletes its file, is recorded in the manifest as failed_stage and error,
+        and ends the writing."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         written = [out / "manifest.json"]
-        for table in self.tables:
-            path = out / f"{table.name}.{fmt}"
-            try:
-                with path.open("w") as f:
-                    f.writelines(table.text(fmt))
-            except _RUN_ERRORS as exc:
-                path.unlink()
-                self.manifest.update(failed_stage=table.name,
-                                     error=_error_message(exc, self.manifest["command"]))
-                break
-            written.append(path)
-        else:
-            for name, content in self.texts.items():
-                path = out / name
-                path.write_text(content)
+        with decimal.localcontext(EXACT):
+            for table in self.tables:
+                path = out / f"{table.name}.{fmt}"
+                try:
+                    with path.open("w") as f:
+                        f.writelines(table.text(fmt))
+                except _RUN_ERRORS as exc:
+                    path.unlink()
+                    self.manifest.update(failed_stage=table.name,
+                                         error=_error_message(exc, self.manifest["command"]))
+                    break
                 written.append(path)
+            else:
+                for name, content in self.texts.items():
+                    path = out / name
+                    path.write_text(content)
+                    written.append(path)
         written[0].write_text(json.dumps(self.manifest, indent=2, sort_keys=True) + "\n")
         return written
 
@@ -355,7 +360,7 @@ def cmd_combine(args: argparse.Namespace) -> ExperimentOutput:
     schedule.stint_index(args.n_max)
     lengths = range(1, args.n_max + 1)
     out.tables.append(Table(
-        "combine_counts", ["n", "count"], zip(map(str, lengths), map(str, _totals(system, lengths)))
+        "combine_counts", ["n", "count"], zip(map(str, lengths), map(str, _totals(system, lengths, decimal.Decimal)))
     ))
 
     preset = match_preset(system)

@@ -24,3 +24,11 @@ def clear_memos():
 def _empty_memos():
     # every test starts from empty memos, so no test reads what an earlier one stored
     clear_memos()
+
+
+@pytest.fixture()
+def int_max_str_digits():
+    """Set CPython's int-to-str digit guard for one test, restored afterwards."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import re
@@ -29,8 +30,9 @@ from symgraph import (
     total_count,
     two_cycle_graph,
     WordSet,
+    quartic_schedule,
 )
-from symgraph.census import _word_sets
+from symgraph.census import DECIMAL_FROM, EXACT, _totals, _word_sets
 from symgraph.intmat import mat_mul, vec_mul, vec_pow
 
 SQRT5 = math.sqrt(5)
@@ -183,6 +185,72 @@ class TestCountMatrix:
                         for j in range(k):
                             composed = sum(mats[n][i][l] * mats[m][l][j] for l in range(k))
                             assert composed == mats[n + m - 1][i][j]
+
+
+def _first_str_failure(counts):
+    """(n, message) of the first count of lengths 1, 2, ... whose str() raises."""
+    n = 0
+    try:
+        for n, _ in enumerate(map(str, counts), 1):
+            pass
+    except ValueError as exc:
+        return n + 1, str(exc)
+    return None
+
+
+class TestDecimalCounts:
+    """The walk asked for Decimal: int up to 2**512, exact Decimal after it."""
+
+    def test_int_until_past_threshold_then_decimal(self):
+        lengths = range(1, 1200)
+        ints = list(_totals(golden_graph(), lengths))
+        assert {c.__class__ for c in ints} == {int}
+        with decimal.localcontext(EXACT):
+            decs = list(_totals(golden_graph(), lengths, decimal.Decimal))
+        past = next(i for i, c in enumerate(ints) if c > DECIMAL_FROM)  # near n = 740
+        assert 700 < past < 800
+        assert [c.__class__ for c in decs] == [int] * (past + 1) + [decimal.Decimal] * (len(ints) - past - 1)
+        assert decs == ints and list(map(str, decs)) == list(map(str, ints))
+
+    def test_decimal_only_past_threshold_across_runs(self):
+        golden = golden_graph()
+        system = CombinedSystem((golden, complete_graph(), golden), quartic_schedule(7))
+        lengths = range(1, system.schedule.horizon + 1)
+        with decimal.localcontext(EXACT):
+            decs = list(_totals(system, lengths, decimal.Decimal))
+        assert decs == list(_totals(system, lengths))
+        assert all(c > DECIMAL_FROM for c in decs if c.__class__ is decimal.Decimal)
+        assert sum(c.__class__ is decimal.Decimal for c in decs) > len(decs) // 2
+
+    @pytest.mark.parametrize("context", [
+        decimal.Context(),  # 28 digits, rounding silently
+        decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[]),
+        decimal.Context(prec=decimal.MAX_PREC, traps=[decimal.Inexact]),  # Rounded passes
+        decimal.Context(prec=10 ** 6, traps=[decimal.Inexact, decimal.Rounded]),
+    ])
+    def test_decimal_outside_exact_context_raises(self, context):
+        lengths = range(1, 1200)
+        ints = list(_totals(golden_graph(), lengths))
+        walked = []
+        with decimal.localcontext(context), pytest.raises(RuntimeError, match="census.EXACT"):
+            for count in _totals(golden_graph(), lengths, decimal.Decimal):
+                walked.append(count)
+        # it raises at the first count past 2**512, before any Decimal arithmetic
+        assert walked == list(itertools.takewhile(lambda c: c <= DECIMAL_FROM, ints))
+        assert {c.__class__ for c in walked} == {int}
+
+    # golden with itself on the paper schedule first passes the guard at these lengths
+    @pytest.mark.parametrize("digits, n", [(640, 3061), (1000, 4783)])
+    def test_digit_guard_at_the_same_length(self, int_max_str_digits, digits, n):
+        golden = golden_graph()
+        system = CombinedSystem((golden, golden), quartic_schedule(8))
+        lengths = range(1, system.schedule.horizon + 1)
+        int_max_str_digits(digits)
+        failure = _first_str_failure(_totals(system, lengths))
+        assert failure == (n, f"Exceeds the limit ({digits} digits) for integer string conversion; "
+                              "use sys.set_int_max_str_digits() to increase the limit")
+        with decimal.localcontext(EXACT):
+            assert _first_str_failure(_totals(system, lengths, decimal.Decimal)) == failure
 
 
 class TestVecPow:

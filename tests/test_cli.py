@@ -1,10 +1,12 @@
 import argparse
+import decimal
 import hashlib
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from unittest import mock
@@ -14,16 +16,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from symgraph import (
     Alphabet,
+    CombinedSystem,
     DirectedGraph,
+    Schedule,
     complete_graph,
     count_series,
     golden_graph,
     graph_to_json,
     linear_graph,
+    quartic_schedule,
     total_count,
 )
 from symgraph import cli
-from symgraph.census import ENUM_CAP_ENV
+from symgraph.census import DECIMAL_FROM, ENUM_CAP_ENV, _totals
 from symgraph.cli import Table, build_parser, main
 
 from conftest import clear_memos
@@ -728,7 +733,7 @@ class TestStreamedTables:
         assert Table("t", columns, rows).to_json() == _whole_table(columns, rows, "json")
 
     def test_mid_stream_memory_error(self, tmp_path, graph_files, monkeypatch, capsys):
-        def exhausted(source, lengths):
+        def exhausted(source, lengths, num):
             yield from (2, 3)
             raise MemoryError
 
@@ -759,6 +764,117 @@ class TestStreamedTables:
         ]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+# entry (i, j) of each kind of graph from a random bit: a complete graph of two or
+# more letters passes 2**512 by 512 letters, a nilpotent one after it drops every count to 0
+_KINDS = {
+    "any": lambda i, j, bit: bit,
+    "complete": lambda i, j, bit: 1,
+    "nilpotent": lambda i, j, bit: bit if i < j else 0,
+}
+
+
+@st.composite
+def decimal_systems(draw):
+    """One to three graphs of one to four letters, the first not nilpotent,
+    cycled over one to three stints, short ones or 400 to 900 letters."""
+    k = draw(st.integers(1, 4))
+    alphabet = Alphabet(tuple("ABCD"[:k]))
+    graphs = []
+    kinds = [draw(st.sampled_from(["any", "complete"]))]
+    kinds += draw(st.lists(st.sampled_from(sorted(_KINDS)), max_size=2))
+    for kind in kinds:
+        bits = draw(st.lists(st.integers(0, 1), min_size=k * k, max_size=k * k))
+        graphs.append(DirectedGraph(alphabet, tuple(
+            tuple(_KINDS[kind](i, j, bits[i * k + j]) for j in range(k)) for i in range(k))))
+    stints = draw(st.lists(st.integers(1, 40) | st.integers(400, 900), min_size=1, max_size=3))
+    return CombinedSystem(tuple(graphs), Schedule.from_stints(stints))
+
+
+def _combine_counts(system):
+    """The int walk's counts of a system, after checking that the count column
+    combine writes for it is their str(), with no -0 and no other sign."""
+    n_max = system.schedule.horizon
+    argv = ["combine", "--schedule", "s", "--n-max", str(n_max)]
+    for i in range(len(system.graphs)):
+        argv += ["--graph", str(i)]
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.object(cli, "_load_graph", lambda path: system.graphs[int(path)]), \
+            mock.patch.object(cli, "_load_schedule", lambda selector, hint: system.schedule):
+        assert main(argv + ["--out", out]) == 0
+        lines = Path(out, "combine_counts.csv").read_text().splitlines()
+    counts = list(_totals(system, range(1, n_max + 1)))
+    assert lines == ["n,count", *(f"{n},{c}" for n, c in enumerate(counts, 1))]
+    assert not any(line.split(",")[1].startswith("-") for line in lines)
+    return counts
+
+
+# complete to 600, nilpotent to 640 (every count 0 from 603), complete again to 940
+PAST_THRESHOLD_TO_ZERO = CombinedSystem(
+    (complete_graph(), DirectedGraph(complete_graph().alphabet, ((0, 1, 1), (0, 0, 1), (0, 0, 0)))),
+    Schedule.from_stints([600, 40, 300]),
+)
+
+
+class TestDecimalColumn:
+    """combine writes its counts from Decimal past 2**512: the bytes of str() of
+    the int walk, the same digit-guard error, and no decimal context left behind."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(system=decimal_systems())
+    @example(system=PAST_THRESHOLD_TO_ZERO)
+    def test_counts_byte_identical_to_int_walk(self, system):
+        _combine_counts(system)
+
+    def test_past_threshold_then_zero(self):
+        # Decimal keeps the sign of a zero product, so a count of 0 could print as -0
+        assert str(decimal.Decimal(-1) * decimal.Decimal(0)) == "-0"
+        counts = _combine_counts(PAST_THRESHOLD_TO_ZERO)
+        assert counts[599] > DECIMAL_FROM and counts[601] > 0 and counts[602:] == [0] * 338
+
+    # golden⊕golden's count at n = 3,061 is the first past 640 digits
+    @pytest.mark.parametrize("n_max", [3060, 3061])
+    def test_digit_guard_at_the_same_length(self, tmp_path, graph_files, capsys, int_max_str_digits, n_max):
+        int_max_str_digits(640)
+        golden = golden_graph()
+        count = total_count(CombinedSystem((golden, golden), quartic_schedule(8)), n_max)
+        out = tmp_path / "o"
+        code = main([
+            "combine", "--graph", graph_files["golden"], "--graph", graph_files["golden"],
+            "--schedule", "paper", "--n-max", str(n_max), "--out", str(out),
+        ])
+        if n_max == 3060:
+            assert code == 0
+            assert (out / "combine_counts.csv").read_text().endswith(f"\n3060,{count}\n")
+            return
+        with pytest.raises(ValueError) as exc:
+            str(count)
+        assert code == 1 and capsys.readouterr().err == f"error: {exc.value}\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["failed_stage"], manifest["error"]) == ("combine_counts", str(exc.value))
+
+    @pytest.mark.parametrize("case", ["clean", "memory", "guard"])
+    def test_decimal_context_restored(self, tmp_path, graph_files, monkeypatch, int_max_str_digits, case):
+        inside = []
+        if case == "memory":
+            def exhausted(source, lengths, num):
+                inside.append(decimal.getcontext().prec)
+                yield 2
+                raise MemoryError
+
+            monkeypatch.setattr(cli, "_totals", exhausted)
+        int_max_str_digits(640)
+        context = decimal.getcontext()
+        state = repr(context)
+        code = main([
+            "combine", "--graph", graph_files["golden"], "--graph", graph_files["golden"],
+            "--schedule", "paper", "--n-max", "3061" if case == "guard" else "3060",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == (0 if case == "clean" else 1)
+        assert decimal.getcontext() is context and repr(context) == state
+        assert inside == ([decimal.MAX_PREC] if case == "memory" else [])
 
 
 # ru_maxrss survives exec, so a child would report at least the test process's
